@@ -40,6 +40,8 @@ guards are discharged at certification time and kept in a separate
 
 from __future__ import annotations
 
+from repro.core.codecache import _value_eq
+
 FACT_KINDS = ("frame", "dup", "const")
 
 #: Expected tuple length per kind (including the kind tag itself).
@@ -90,16 +92,6 @@ def shift_facts(facts, delta: int):
 
 # -- template guard pruning --------------------------------------------------------
 
-def _guard_values_equal(a, b) -> bool:
-    if isinstance(a, float) != isinstance(b, float):
-        return False
-    if isinstance(a, float):
-        import struct
-        # bit-compare so -0.0 vs 0.0 and NaNs never alias
-        return struct.pack(">d", a) == struct.pack(">d", b)
-    return a == b
-
-
 def entailed_by(guard, kept) -> bool:
     """``True`` iff ``guard`` (an ``(addr, width, value)`` triple as
     recorded by ``PatchRecorder.note_guard``) is implied by the guards
@@ -108,7 +100,7 @@ def entailed_by(guard, kept) -> bool:
     addr, width, value = guard
     for k_addr, k_width, k_value in kept:
         if (k_addr, k_width) == (addr, width) and \
-                _guard_values_equal(k_value, value):
+                _value_eq(k_value, value):
             return True
         if width in ("b", "bu") and k_width == "w":
             delta = addr - k_addr

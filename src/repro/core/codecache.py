@@ -39,13 +39,17 @@ that test must match the template's recorded value exactly.  Emission-time
 memory reads (``$arr[k]`` folds) additionally record *guards* — (address,
 width, value) triples re-checked before either tier reuses an entry.
 
-Entries are invalidated when the code segment rolls back past them, when
-an emit fault is injected, or when the segment is reset (see
+Tier-2 templates always live in a :class:`~repro.serving.store
+.TemplateStore`: a private one per cache unless a shared one is passed
+in.  Memo entries, and the templates of a private store, are invalidated
+when the code segment rolls back past them, when an emit fault is
+injected, or when the segment is reset (see
 ``CodeSegment.add_invalidation_listener``).
 """
 
 from __future__ import annotations
 
+import struct
 import threading
 from collections import OrderedDict
 
@@ -57,9 +61,6 @@ from repro.telemetry.metrics import REGISTRY
 
 #: Memo entries + templates dropped by segment rollback/fault events.
 _INVALIDATED = REGISTRY.counter("cache.invalidated")
-#: Templates evicted because their body failed its integrity checksum
-#: (cache poisoning — tampering with the shared template store).
-_POISONED = REGISTRY.counter("cache.poisoned_evictions")
 
 __all__ = [
     "PatchImm",
@@ -77,8 +78,6 @@ __all__ = [
 
 #: Tier-1 memo capacity (entries, FIFO eviction).
 MEMO_CAPACITY = 512
-#: Tier-2 templates retained per closure shape.
-TEMPLATES_PER_SHAPE = 8
 #: Modeled bytes patched per hole (one 32-bit immediate field).
 BYTES_PER_HOLE = 4
 
@@ -426,11 +425,11 @@ class CodeTemplate:
 
 
 def _value_eq(a, b) -> bool:
+    """Bit-exact equality: ``-0.0`` vs ``0.0`` and distinct NaNs never
+    alias, and a float never equals an int."""
     if isinstance(a, float) != isinstance(b, float):
         return False
     if isinstance(a, float):
-        # bit-compare so -0.0 vs 0.0 and NaNs never alias
-        import struct
         return struct.pack(">d", a) == struct.pack(">d", b)
     return a == b
 
@@ -449,40 +448,41 @@ def _guards_hold(guards, memory) -> bool:
                 actual = memory.load_word(addr)
         except MachineError:
             return False
-        if actual != expected and not (actual != actual and expected != expected):
+        if not _value_eq(actual, expected):
             return False
     return True
 
 
 class CodeCache:
-    """Per-process store of Tier-1 memo entries and Tier-2 templates.
+    """Per-process Tier-1 memo entries in front of one Tier-2
+    :class:`~repro.serving.store.TemplateStore`.
 
-    ``template_store`` (optional) replaces the local Tier-2 bucket with a
-    shared, thread-safe :class:`~repro.serving.store.TemplateStore` owned
-    by a serving :class:`~repro.serving.engine.Engine`: templates are
-    position-independent copies, so many sessions can clone from one
-    store while Tier-1 memo entries — absolute addresses in *this*
-    machine's code segment — stay private.  All mutating operations are
-    guarded by a re-entrant lock; the per-session fast paths are
-    single-threaded, but segment invalidation events may arrive while
-    another thread inspects :meth:`stats`.
+    Tier-1 entries are absolute addresses in *this* machine's code
+    segment, so they stay private.  Tier 2 always lives in a store:
+    templates are position-independent copies, so a serving
+    :class:`~repro.serving.engine.Engine` passes its shared store in and
+    many sessions clone from it.  When no store is passed in, the cache
+    builds a private single-stripe one.  The store owns the disk tier
+    (:class:`~repro.persist.diskcache.DiskCodeCache`), if any.
+
+    Ownership decides invalidation: this segment's rollback and fault
+    events drop the templates of a private store, but never touch a
+    shared one.  The memo is guarded by a re-entrant lock; the
+    per-session fast paths are single-threaded, but segment invalidation
+    events may arrive while another thread inspects :meth:`stats`.
     """
 
     def __init__(self, enabled=True, templates_enabled=True,
-                 memo_capacity=MEMO_CAPACITY,
-                 templates_per_shape=TEMPLATES_PER_SHAPE,
-                 template_store=None, disk=None):
+                 memo_capacity=MEMO_CAPACITY, template_store=None):
+        from repro.serving.store import TemplateStore
+
         self.enabled = enabled
         self.templates_enabled = templates_enabled
         self.memo_capacity = memo_capacity
-        self.templates_per_shape = templates_per_shape
-        self.template_store = template_store
-        #: Optional :class:`~repro.persist.diskcache.DiskCodeCache`; when
-        #: a shared ``template_store`` is attached, *its* disk tier wins
-        #: and this one is ignored (the engine owns persistence then).
-        self.disk = disk
+        self._owns_store = template_store is None
+        self.template_store = (TemplateStore(stripes=1) if self._owns_store
+                               else template_store)
         self._memo = OrderedDict()   # (shape_key, values_key) -> CacheEntry
-        self._templates = {}         # shape_key -> [CodeTemplate, ...]
         #: Surviving facts of the most recent template clone (the driver
         #: hands them to the factcheck layer after the clone links).
         self.last_clone_facts: list = []
@@ -502,57 +502,14 @@ class CodeCache:
             return entry
 
     def match_template(self, signature, memory, segment=None):
-        """Tier-2 probe: a same-shape template whose non-hole values all
-        match, whose guards still hold, and whose body passes its
-        integrity checksum.  A template that fails the checksum was
-        tampered with (cache poisoning): it is evicted on the spot and
-        never cloned.
-
-        Candidates are snapshotted under the lock but matched/verified
-        *outside* it — guard evaluation reads session memory, which must
-        never stall other threads' stores.  When an in-memory miss falls
-        through and a disk tier is attached, previously persisted
-        templates for this shape are loaded (digest-checked and
-        link-verified against ``segment``) and admitted to the bucket.
-        """
+        """Tier-2 probe, answered by the store: a same-shape template
+        whose non-hole values all match, whose guards still hold, and
+        whose body passes its integrity checksum (see
+        :meth:`TemplateStore.match`, which also evicts poisoned templates
+        and falls back to the disk tier)."""
         if not self.templates_enabled:
             return None
-        if self.template_store is not None:
-            return self.template_store.match(signature, memory, segment)
-        with self._lock:
-            candidates = list(self._templates.get(signature.shape_key, ()))
-        found = self._pick(candidates, signature, memory, segment)
-        if found is not None:
-            return found
-        loaded = self._load_from_disk(signature, segment)
-        if loaded:
-            with self._lock:
-                bucket = self._templates.setdefault(signature.shape_key, [])
-                bucket.extend(loaded)
-                while len(bucket) > self.templates_per_shape:
-                    bucket.pop(0)
-            return self._pick(loaded, signature, memory, segment)
-        return None
-
-    def _pick(self, candidates, signature, memory, segment):
-        """Scan candidate templates lock-free; evict poisoned ones."""
-        for template in candidates:
-            if not template.matches(signature):
-                continue
-            if not template.verify_integrity():
-                self.evict_template(signature, template)
-                _POISONED.inc()
-                continue
-            if segment is not None and not template.links_into(segment):
-                continue
-            if _guards_hold(template.guards, memory):
-                return template
-        return None
-
-    def _load_from_disk(self, signature, segment):
-        if self.disk is None or segment is None or not signature.persistable:
-            return []
-        return self.disk.load(signature, segment)
+        return self.template_store.match(signature, memory, segment)
 
     # -- stores -----------------------------------------------------------
 
@@ -561,8 +518,8 @@ class CodeCache:
 
         Hole-less bodies (every origin pinned, or no ``$`` leaves at
         all) are normally not worth a template — the Tier-1 memo already
-        covers exact replays — but when a disk tier is attached they are
-        captured anyway: a *fresh* process has no memo, and an exact
+        covers exact replays — but when the store has a disk tier they
+        are captured anyway: a *fresh* process has no memo, and an exact
         replay served by clone+patch is still vastly cheaper than a cold
         compile.
         """
@@ -588,24 +545,15 @@ class CodeCache:
             self._memo_put(signature.key,
                            CacheEntry(entry, end, list(recorder.guards),
                                       cold_cycles))
-            if not (self.templates_enabled
-                    and recorder.instructions is not None):
-                return
-            persisting = self._disk_tier() is not None
-            if not (recorder.patchable_origins()
-                    or (persisting and signature.persistable)):
-                return
-            template = CodeTemplate(recorder, end, cold_cycles)
-            if self.template_store is not None:
-                self.template_store.add(signature.shape_key, template,
-                                        signature)
-                return
-            bucket = self._templates.setdefault(signature.shape_key, [])
-            bucket.append(template)
-            if len(bucket) > self.templates_per_shape:
-                bucket.pop(0)
-        if self.disk is not None:
-            self.disk.offer(signature, template)
+        if not (self.templates_enabled
+                and recorder.instructions is not None):
+            return
+        persisting = self.template_store.disk is not None
+        if (recorder.patchable_origins()
+                or (persisting and signature.persistable)):
+            self.template_store.add(signature.shape_key,
+                                    CodeTemplate(recorder, end, cold_cycles),
+                                    signature)
 
     def store_patched(self, signature, template, entry, end) -> None:
         """A Tier-2 clone is itself a valid Tier-1 entry for its key."""
@@ -615,32 +563,6 @@ class CodeCache:
             self._memo_put(signature.key,
                            CacheEntry(entry, end, list(template.guards),
                                       template.cold_cycles))
-
-    def evict_template(self, signature, template) -> None:
-        """Drop one template (failed clone audit, poisoning, ...)."""
-        if self.template_store is not None:
-            self.template_store.evict(signature.shape_key, template)
-            return
-        with self._lock:
-            bucket = self._templates.get(signature.shape_key)
-            if bucket and template in bucket:
-                bucket.remove(template)
-
-    def tamper_first(self) -> bool:
-        """Chaos hook: corrupt one operand of one retained template in
-        place (simulated cache poisoning; the checksum must catch it).
-        Returns True when a template was found to tamper with."""
-        if self.template_store is not None:
-            return self.template_store.tamper_first()
-        with self._lock:
-            for bucket in self._templates.values():
-                for template in bucket:
-                    if template.instructions:
-                        instr = template.instructions[0]
-                        instr.a = (instr.a + 1
-                                   if isinstance(instr.a, int) else 1)
-                        return True
-        return False
 
     def _memo_put(self, key, entry) -> None:
         self._memo[key] = entry
@@ -732,71 +654,47 @@ class CodeCache:
     def on_segment_event(self, kind, length=None) -> None:
         """CodeSegment invalidation listener (see program.py).
 
-        Both kinds only touch *this* cache's state: memo entries are
-        machine-specific, and templates in a shared store are post-link
-        copies that do not reference the faulting segment, so a
-        session-local fault must not evict another session's warm
-        templates.
+        Memo entries are machine-specific and always follow this
+        segment: a rollback drops those installed past ``length``, and
+        any other event (a fault) drops them all.  Templates follow only
+        when the store is this cache's private one.  A shared store's
+        templates are post-link copies that do not reference the faulting
+        segment, so a session-local event must not evict another
+        session's warm templates.
         """
         with self._lock:
             if kind == "rollback":
                 stale = [k for k, e in self._memo.items() if e.end > length]
                 for k in stale:
                     del self._memo[k]
-                _INVALIDATED.inc(len(stale))
-                for shape, bucket in list(self._templates.items()):
-                    kept = [t for t in bucket if t.end <= length]
-                    _INVALIDATED.inc(len(bucket) - len(kept))
-                    if kept:
-                        self._templates[shape] = kept
-                    else:
-                        del self._templates[shape]
+                dropped = len(stale)
             else:  # "fault" or anything else: be conservative, drop everything
-                self.clear()
+                dropped = len(self._memo)
+                self._memo.clear()
+        if self._owns_store:
+            if kind == "rollback":
+                dropped += self.template_store.drop_after(length)
+            else:
+                dropped += self.template_store.clear()
+        _INVALIDATED.inc(dropped)
 
-    def clear(self) -> None:
-        with self._lock:
-            _INVALIDATED.inc(len(self._memo)
-                             + sum(len(b) for b in self._templates.values()))
-            self._memo.clear()
-            self._templates.clear()
-        if self.disk is not None:
-            # The in-memory tiers just lost everything; let the disk tier
-            # hand its templates out again on the next probes.
-            self.disk.reset_probes()
-
-    # -- disk tier ---------------------------------------------------------
-
-    def _disk_tier(self):
-        """The effective disk tier: the shared store's when attached."""
-        if self.template_store is not None:
-            return getattr(self.template_store, "disk", None)
-        return self.disk
+    # -- delegated to the store --------------------------------------------
 
     def flush(self) -> None:
         """Drain write-behind persistence (no-op without a disk tier)."""
-        disk = self._disk_tier()
-        if disk is not None:
-            disk.flush()
+        self.template_store.flush()
+
+    def tamper_first(self) -> bool:
+        """Chaos hook: corrupt one stored template in place (simulated
+        cache poisoning; the checksum must catch it)."""
+        return self.template_store.tamper_first()
 
     def corrupt_disk_first(self) -> bool:
         """Chaos hook (``corrupt_disk``): tamper with one persisted
         entry; a harmless no-op when no disk tier is configured."""
-        disk = self._disk_tier()
-        if disk is None:
-            return False
-        return disk.corrupt_first()
-
-    # -- introspection -----------------------------------------------------
+        return self.template_store.corrupt_disk_first()
 
     def stats(self) -> dict:
         with self._lock:
-            out = {
-                "memo_entries": len(self._memo),
-                "template_shapes": len(self._templates),
-                "templates": sum(len(b) for b in self._templates.values()),
-            }
-        disk = self._disk_tier()
-        if disk is not None:
-            out["disk"] = disk.stats()
-        return out
+            memo_entries = len(self._memo)
+        return {"memo_entries": memo_entries, **self.template_store.stats()}

@@ -185,7 +185,7 @@ class CompiledProgram:
                           fresh process warm-starts from shapes any
                           earlier process compiled (see repro.persist).
                           Ignored when ``template_store`` is supplied —
-                          the serving engine owns persistence then.
+                          the shared store owns persistence then.
         ``retier``        adaptive VCODE->ICODE re-instantiation when a
                           closure's cumulative exec cycles cross the
                           Fig. 5 recompile crossover (default True; needs
@@ -296,24 +296,24 @@ class Process:
         self._entry_code_info: dict = {}   # entry -> (sig key, cold, backend)
         self._retier_to_icode: set = set()  # signature keys due for ICODE
         self._last_cold_cycles = None      # stashed by the cache paths
-        codecache_dir = options.get("codecache_dir")
-        if codecache_dir is None:
-            codecache_dir = os.environ.get("REPRO_CODECACHE_DIR") or None
-        disk = None
-        if (codecache_dir
-                and options.get("codecache", True)
-                and options.get("code_templates", True)
-                and options.get("template_store") is None):
-            from repro.persist import DiskCodeCache, program_namespace
-
-            disk = DiskCodeCache(codecache_dir,
-                                 program_key=program_namespace(program.source))
+        shared_store = options.get("template_store")
         self.codecache = CodeCache(
             enabled=options.get("codecache", True),
             templates_enabled=options.get("code_templates", True),
-            template_store=options.get("template_store"),
-            disk=disk,
+            template_store=shared_store,
         )
+        codecache_dir = options.get("codecache_dir")
+        if codecache_dir is None:
+            codecache_dir = os.environ.get("REPRO_CODECACHE_DIR") or None
+        if (codecache_dir and shared_store is None
+                and self.codecache.enabled
+                and self.codecache.templates_enabled):
+            # The private store is the disk tier's one owner; a shared
+            # store brings its own (see serving.Engine).
+            from repro.persist import DiskCodeCache, program_namespace
+
+            self.codecache.template_store.disk = DiskCodeCache(
+                codecache_dir, program_key=program_namespace(program.source))
         machine.code.add_invalidation_listener(self.codecache.on_segment_event)
         self._strings: dict = {}
         self._static_entries: dict = {}

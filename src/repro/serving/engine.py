@@ -124,20 +124,22 @@ class Engine:
             self.program = TccCompiler(verify=verify).compile(source)
         if codecache_dir is None:
             codecache_dir = os.environ.get("REPRO_CODECACHE_DIR") or None
-        self.disk = None
-        if codecache_dir:
-            from repro.persist import DiskCodeCache, program_namespace
-
-            self.disk = DiskCodeCache(
-                codecache_dir,
-                program_key=program_namespace(self.program.source))
-        self.store = (TemplateStore(templates_per_shape=templates_per_shape,
-                                    disk=self.disk)
-                      if share_templates else None)
+        self.store = None
         self.session_defaults = dict(session_defaults)
-        if self.store is None and codecache_dir:
-            # No shared store to hang the disk tier on: give each session
-            # its own handle (same directory; safe under the shard locks).
+        if share_templates:
+            disk = None
+            if codecache_dir:
+                from repro.persist import DiskCodeCache, program_namespace
+
+                disk = DiskCodeCache(
+                    codecache_dir,
+                    program_key=program_namespace(self.program.source))
+            self.store = TemplateStore(
+                templates_per_shape=templates_per_shape, disk=disk)
+        elif codecache_dir:
+            # No shared store to hang the disk tier on: each session's
+            # private store owns a handle (same directory; safe under the
+            # shard locks).
             self.session_defaults.setdefault("codecache_dir", codecache_dir)
         if verify is not None:
             self.session_defaults.setdefault("verify", verify)
@@ -210,8 +212,6 @@ class Engine:
         }
         if self.store is not None:
             out["store"] = self.store.stats()
-        elif self.disk is not None:
-            out["disk"] = self.disk.stats()
         return out
 
     def dump_blackbox(self) -> dict:

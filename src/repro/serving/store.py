@@ -1,19 +1,20 @@
-"""The engine-shared Tier-2 template store.
+"""The Tier-2 template store.
 
 Tier-1 memo entries are absolute addresses in one machine's code segment,
 so they can never leave their session.  Tier-2 :class:`~repro.core
 .codecache.CodeTemplate` objects are the opposite: post-link instruction
 *copies* with positional hole/relocation records, referencing no session
-state at all.  A :class:`TemplateStore` exploits that — one store per
-:class:`~repro.serving.engine.Engine` lets every session clone templates
-any *other* session paid the cold-compile price for (cross-session warm
-starts), while each session still installs the clone into its own
-segment.
+state at all.  Every :class:`~repro.core.codecache.CodeCache` keeps its
+templates in a :class:`TemplateStore`: a private single-stripe one by
+default, or the one store of a :class:`~repro.serving.engine.Engine`,
+which lets every session clone templates any *other* session paid the
+cold-compile price for (cross-session warm starts), while each session
+still installs the clone into its own segment.
 
-The store may also carry a :class:`~repro.persist.diskcache
-.DiskCodeCache` tier: templates added here are offered to disk
-(write-behind), and an in-memory miss probes disk before giving up, so a
-fresh *engine* — not just a fresh session — starts warm.
+The store is the only owner of the persistent tier: it may carry a
+:class:`~repro.persist.diskcache.DiskCodeCache`, to which templates added
+here are offered (write-behind), and an in-memory miss probes disk before
+giving up, so a fresh process or engine starts warm.
 
 Concurrency: the store is lock-striped.  Shape keys hash onto
 :data:`STRIPES` independent buckets, each with its own lock, so sessions
@@ -30,13 +31,15 @@ from __future__ import annotations
 
 import threading
 
+from repro.core.codecache import _guards_hold
 from repro.telemetry.metrics import REGISTRY
 
 #: Number of independent lock stripes.
 STRIPES = 16
 
+#: Templates evicted because their body failed its integrity checksum
+#: (cache poisoning — tampering with a stored template).
 _POISONED = REGISTRY.counter("cache.poisoned_evictions")
-_SHARED_HITS = REGISTRY.counter("store.shared_matches")
 
 
 class TemplateStore:
@@ -81,7 +84,6 @@ class TemplateStore:
             candidates = list(shapes.get(signature.shape_key, ()))
         found = self._pick(candidates, signature, memory, segment)
         if found is not None:
-            _SHARED_HITS.inc()
             return found
         if (self.disk is not None and segment is not None
                 and signature.persistable):
@@ -97,8 +99,6 @@ class TemplateStore:
 
     def _pick(self, candidates, signature, memory, segment):
         """Lock-free scan of snapshotted candidates (see class docs)."""
-        from repro.core.codecache import _guards_hold
-
         for template in candidates:
             if not template.matches(signature):
                 continue
@@ -119,10 +119,40 @@ class TemplateStore:
             if bucket and template in bucket:
                 bucket.remove(template)
 
+    def drop_after(self, length) -> int:
+        """Drop every template installed past segment ``length`` (the
+        owning cache's segment rolled back); return how many went."""
+        dropped = 0
+        for lock, shapes in self._stripes:
+            with lock:
+                for shape, bucket in list(shapes.items()):
+                    kept = [t for t in bucket if t.end <= length]
+                    dropped += len(bucket) - len(kept)
+                    if kept:
+                        shapes[shape] = kept
+                    else:
+                        del shapes[shape]
+        return dropped
+
+    def items(self) -> list:
+        """Snapshot of every stored ``(shape_key, template)`` pair."""
+        out = []
+        for lock, shapes in self._stripes:
+            with lock:
+                out.extend((shape, template)
+                           for shape, bucket in shapes.items()
+                           for template in bucket)
+        return out
+
     def flush(self) -> None:
         """Drain the disk tier's write-behind queue (no-op without one)."""
         if self.disk is not None:
             self.disk.flush()
+
+    def corrupt_disk_first(self) -> bool:
+        """Chaos hook: tamper with one persisted entry (no-op without a
+        disk tier)."""
+        return self.disk is not None and self.disk.corrupt_first()
 
     def tamper_first(self) -> bool:
         """Chaos hook: corrupt one operand of one stored template in
@@ -139,12 +169,17 @@ class TemplateStore:
                             return True
         return False
 
-    def clear(self) -> None:
+    def clear(self) -> int:
+        """Drop every template and let the disk tier hand its templates
+        out again; return how many in-memory templates went."""
+        dropped = 0
         for lock, shapes in self._stripes:
             with lock:
+                dropped += sum(len(b) for b in shapes.values())
                 shapes.clear()
         if self.disk is not None:
             self.disk.reset_probes()
+        return dropped
 
     def stats(self) -> dict:
         shapes = templates = 0

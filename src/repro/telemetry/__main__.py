@@ -5,8 +5,6 @@ Usage::
     python -m repro.telemetry blur                    # summary to stdout
     python -m repro.telemetry blur -f chrome -o blur_trace.json
     python -m repro.telemetry pow -f jsonl -o pow.jsonl --backend vcode
-    python -m repro.telemetry cache                   # code-cache stats
-    python -m repro.telemetry analysis                # guard-elision stats
     python -m repro.telemetry --list
 
 The chrome output loads directly in Perfetto (https://ui.perfetto.dev)
@@ -63,14 +61,6 @@ def main(argv=None) -> int:
     parser.add_argument("--list", action="store_true",
                         help="list available app names and exit")
     args = parser.parse_args(argv)
-
-    if args.app in ("cache", "analysis"):
-        # Passthrough to the report module's live-counter views: no app
-        # to trace, just the code-cache or guard-elision statistics.
-        from repro import report
-
-        print(report.REPORTS[args.app]())
-        return 0
 
     from repro.apps import ALL_APPS
 

@@ -24,7 +24,7 @@ Metric types
     last bucket is the overflow).
 ``EventLog``
     a bounded ring of recent events with an *exact* total count — the
-    fix for ``FALLBACK_STATS["events"]`` growing without bound in
+    fix for the backend-fallback event list growing without bound in
     long-running processes.
 
 This module is intentionally a leaf: it imports nothing from the rest of

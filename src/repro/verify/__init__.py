@@ -8,7 +8,8 @@ ill-formed IR, a register allocator that aliases two live values, a bad
 branch target installed into the code segment.  This package closes that
 gap with four static-analysis layers, each a pure checker returning
 :class:`Diagnostic` records plus a thin runner that accounts time/counts
-in :data:`repro.report.VERIFY_STATS` and raises
+via :func:`repro.report.record_verify` (read back with
+:func:`repro.report.verify_stats`) and raises
 :class:`~repro.errors.VerifyError` when anything fires:
 
 ``ticklint``
@@ -91,7 +92,7 @@ def run_checker(layer: str, checker, *args, **kwargs):
     """Run one layer's pure checker, account it, and raise on findings.
 
     Every runner in the layer modules funnels through here so the
-    ``VERIFY_STATS`` counters (checks run, diagnostics by layer, time in
+    verifier counters (checks run, diagnostics by layer, time in
     verifier) stay consistent.
     """
     started = time.perf_counter()

@@ -2,6 +2,9 @@
 the Tier-2 copy-and-patch template fast path, certification (pinning) of
 specialization-steering values, guards, and invalidation."""
 
+import math
+import struct
+
 import pytest
 
 from repro import report
@@ -275,6 +278,62 @@ class TestGuards:
         mem.store_word(addr, 8)  # the guarded value changed
         assert cache.lookup(Sig, mem) is None
         assert Sig.key not in cache._memo  # stale entry evicted
+
+    def test_double_guards_compare_bits(self):
+        mem = Memory()
+        addr = mem.alloc(8)
+        mem.store_double(addr, -0.0)
+        assert _guards_hold([(addr, "d", -0.0)], mem)
+        assert not _guards_hold([(addr, "d", 0.0)], mem)
+        quiet, payload = (struct.unpack("<d", struct.pack("<Q", bits))[0]
+                          for bits in (0x7FF8000000000000, 0x7FF8000000000001))
+        mem.store_double(addr, quiet)
+        assert _guards_hold([(addr, "d", quiet)], mem)
+        assert not _guards_hold([(addr, "d", payload)], mem)
+
+
+NEGZERO = """
+double w[2] = {0.0, 1.0};
+void flip(void) { w[0] = 0.0 * -1.0; }
+int build(int n, double b) {
+    return (int)compile(`{
+        int k; double s;
+        s = $b;
+        for (k = 0; k < $n; k++) s = s * $w[k];
+        return s;
+    }, double);
+}
+"""
+
+
+class TestNegativeZeroGuard:
+    """A ``$w[k]`` fold guards the double it read: a store that flips
+    0.0 to -0.0 must invalidate the fold on every reuse path, exactly as
+    it changes the result of a fresh compile."""
+
+    @pytest.mark.parametrize("path, second, counter", [
+        ("tier1", (1, 1.0), "hits"),
+        ("tier2", (1, 2.0), "patched"),
+        ("shared", (1, 2.0), "patched"),
+    ])
+    def test_flip_to_negative_zero_recompiles(self, path, second, counter):
+        def build_twice(flip):
+            report.reset()
+            options = ({"template_store": TemplateStore()}
+                       if path == "shared" else {})
+            proc = compile_c(NEGZERO, **options)
+            proc.run("build", 1, 1.0)
+            if flip:
+                proc.run("flip")
+            entry = proc.run("build", *second)
+            return proc.function(entry, "", "f")()
+
+        build_twice(flip=False)
+        assert report.cache_stats()[counter] == 1   # the path is reachable
+        result = build_twice(flip=True)
+        assert report.cache_stats()[counter] == 0
+        assert math.copysign(1.0, result) == -1.0   # -0.0, not stale 0.0
+        assert result == second[1] * -0.0
 
 
 class TestSignature:

@@ -177,18 +177,18 @@ int build(int n) {
 
 class TestBackendFallback:
     def test_icode_falls_back_to_vcode_and_still_computes(self):
-        report.reset_fallbacks()
+        report.reset()
         proc = compile_c(ADDER, backend="icode")
         proc.machine.code.inject_emit_failure(2)
         entry = proc.run("build", 10)
         fn = proc.function(entry, "i", "i")
         assert fn(5) == 15              # correct result via the fallback
         assert report.fallback_count() == 1
-        assert report.FALLBACK_STATS["events"][0][:2] == ("icode", "vcode")
+        assert report.fallback_stats()["events"][0][:2] == ("icode", "vcode")
         assert isinstance(proc.last_backend, VcodeBackend)
 
     def test_rollback_leaves_segment_linkable(self):
-        report.reset_fallbacks()
+        report.reset()
         proc = compile_c(ADDER, backend="icode")
         proc.machine.code.inject_emit_failure(2)
         first = proc.run("build", 1)
@@ -210,7 +210,7 @@ class TestBackendFallback:
             proc.run("build", 10)
 
     def test_vcode_failures_do_not_retry(self):
-        report.reset_fallbacks()
+        report.reset()
         proc = compile_c(ADDER, backend="vcode")
         proc.machine.code.inject_emit_failure(2)
         with pytest.raises(CodeSegmentExhausted):

@@ -85,6 +85,8 @@ class TestEverySubcommand:
         ("telemetry", "Telemetry summary"),
         ("hot", "Hottest execution units"),
         ("cache", "Code cache"),
+        ("analysis", "Static analysis"),
+        ("slo", "Serving SLOs"),
     ])
     def test_subcommand_exits_zero_and_renders(self, capsys, name, marker):
         assert report.main([name]) == 0

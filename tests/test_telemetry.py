@@ -7,8 +7,8 @@ The load-bearing invariants (ISSUE acceptance criteria):
   whose compile span's phase children tile it and sum to the cost
   model's phase totals *exactly*, and whose chrome export is a valid
   trace-event JSON document;
-* the legacy ``report`` accessors stay equivalent to the registry;
-* ``FALLBACK_STATS["events"]`` is bounded while the count stays exact.
+* the ``report`` accessors stay equivalent to the registry;
+* fallback ``events`` are bounded while the count stays exact.
 """
 
 import json
@@ -150,27 +150,28 @@ class TestMetrics:
         assert "exemplars" not in h.snapshot()
 
 
-# -- legacy report views over the registry ------------------------------------
+# -- report accessors over the registry ---------------------------------------
 
 
-class TestLegacyViews:
+class TestReportAccessors:
     def test_fallback_events_are_capped(self):
         for i in range(DEFAULT_EVENT_CAPACITY + 10):
             report.record_fallback("icode", "vcode", f"reason {i}")
         assert report.fallback_count() == DEFAULT_EVENT_CAPACITY + 10
-        assert report.FALLBACK_STATS["count"] == DEFAULT_EVENT_CAPACITY + 10
-        events = report.FALLBACK_STATS["events"]
+        stats = report.fallback_stats()
+        assert stats["count"] == DEFAULT_EVENT_CAPACITY + 10
+        events = stats["events"]
         assert len(events) == DEFAULT_EVENT_CAPACITY
         # oldest dropped, newest kept, tuple shape preserved
         assert events[-1] == ("icode", "vcode",
                               f"reason {DEFAULT_EVENT_CAPACITY + 9}")
 
-    def test_views_track_registry(self):
+    def test_accessors_track_registry(self):
         report.record_cache_hit(100)
         report.record_verify("ticklint", 0, 0.5)
-        assert report.CACHE_STATS["hits"] == report.cache_stats()["hits"] == 1
-        assert dict(report.CACHE_STATS) == report.cache_stats()
-        assert report.VERIFY_STATS["checks_run"] == 1
+        assert report.cache_stats()["hits"] == 1
+        assert metrics.REGISTRY.get("cache.hits").value == 1
+        assert report.verify_stats()["checks_run"] == 1
         assert report.verify_stats()["diagnostics"]["ticklint"] == 0
         report.reset()
         assert report.cache_stats()["cycles_saved"] == 0

@@ -125,13 +125,9 @@ class TestTemplateStore:
         }
         """
         process = TccCompiler().compile(source).start()
-        out = []
         for n in range(count):
             process.run("make_adder", n)
-        for shape, bucket in process.codecache._templates.items():
-            for template in bucket:
-                out.append((shape, template))
-        return out
+        return process.codecache.template_store.items()
 
     def test_concurrent_add_match_evict(self):
         pairs = self._templates(4)
