@@ -29,8 +29,8 @@ _BASELINE_OPS = frozenset({
 #: the order of 100 instructions" per ICODE instruction).
 TRANSLATOR_CASE_SIZE = 100
 
-#: Footprint of one *fused* superinstruction case.  The block engine
-#: (:mod:`repro.target.dispatch`) translates fusable pairs with a
+#: Footprint of one *fused* superinstruction case.  The superblock
+#: generator (:mod:`repro.target.dispatch`) translates fusable pairs with a
 #: dedicated combined case; it shares the operand plumbing of its two
 #: constituent cases, so it is modeled smaller than a full case.
 FUSED_CASE_SIZE = 60

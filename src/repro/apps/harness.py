@@ -38,11 +38,13 @@ def measure(app: App, backend: str = "icode", regalloc: str = "linear",
     """Measure one app under one configuration; see module docstring.
 
     ``engine`` selects the target-machine execution engine ("tiered",
-    "block" or "reference") for both the dynamic and the static machine.
-    Modeled cycles are engine-independent; the knob only changes host
-    wall time (benchmarks/test_dispatch.py and benchmarks/test_tiering.py
-    measure that difference).  Under "tiered" the dynamic side's hot-unit
-    profile is captured in ``MeasureResult.hot_profile``.
+    "block" or "reference") for both the dynamic and the static machine:
+    "tiered" and "block" are one dispatch engine with its trace tier on
+    or off.  Modeled cycles are engine-independent; the knob only changes
+    host wall time (benchmarks/test_dispatch.py and
+    benchmarks/test_tiering.py measure that difference).  The dynamic
+    side's hot-unit profile is captured in ``MeasureResult.hot_profile``
+    (empty unless the trace tier profiled the run).
 
     ``telemetry`` ("off"/"on"/"sample:N", default off) attaches a span
     tracer to the *dynamic* side only; the resulting
@@ -73,9 +75,8 @@ def measure(app: App, backend: str = "icode", regalloc: str = "linear",
     result.dynamic_result = app.dyn_call(fn, ctx)
     result.dynamic_cycles = proc.machine.cpu.cycles - before
     result.tracer = proc.tracer
-    dyn_engine = getattr(proc.machine, "_engine", None)
-    if dyn_engine is not None and hasattr(dyn_engine, "hot_units"):
-        result.hot_profile = dyn_engine.hot_units()
+    if proc.machine._engine is not None:
+        result.hot_profile = proc.machine._engine.hot_units()
 
     # Static side: a separate machine so measurements are isolated.
     proc_s = prog.start(static_opt=static_opt, engine=engine)

@@ -212,12 +212,13 @@ class CompiledProgram:
         ``fuel``          watchdog cycle budget per call (None = unlimited)
         ``icache``        an :class:`~repro.target.cpu.ICache` model
         ``code_capacity`` code-segment capacity, in instructions
-        ``engine``        "tiered" (profile-guided trace promotion over
-                          superblock dispatch, the default), "block"
-                          (predecoded superblock dispatch only), or
+        ``engine``        "tiered" (the default) or "block": one dispatch
+                          engine over predecoded superblocks, with its
+                          profile-guided trace tier on or off; or
                           "reference" (the per-instruction oracle stepper)
         ``tiering``       a :class:`repro.tiering.TieringPolicy` (or a
-                          dict of its knobs) for the tiered engine
+                          dict of its knobs) for the trace tier; unused
+                          unless ``engine`` is "tiered"
         ``tiering_shared``  a :class:`repro.tiering.SharedHotness` to
                           seed/publish the cross-session dispatch profile
         """

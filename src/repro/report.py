@@ -105,13 +105,14 @@ def cache_stats() -> dict:
     return {key: _CACHE[key].value for key in _CACHE_KEYS}
 
 
-# -- block-dispatch engine ----------------------------------------------------
+# -- dispatch engine ----------------------------------------------------------
 
-# Block-dispatch engine counters, fed by
-# :class:`repro.target.dispatch.BlockEngine`: superblocks compiled,
+# Block-tier counters, fed by :class:`repro.tiering.TieredEngine` and
+# :func:`repro.target.dispatch.compile_block`: superblocks compiled,
 # instructions predecoded into them, superinstruction pairs fused (by
-# kind), block-granular dispatches, block-cache hits, and blocks
-# evicted by code-segment invalidation events.
+# kind), block dispatches (each one a cache hit or a compile; trace runs
+# count in ``tiering.trace_dispatches`` instead), block-cache hits, and
+# blocks evicted by code-segment invalidation events.
 _DISPATCH_KEYS = ("blocks_compiled", "instructions_predecoded",
                   "fused_pairs", "block_dispatches", "block_cache_hits",
                   "blocks_invalidated")
@@ -146,9 +147,9 @@ def dispatch_stats() -> dict:
     return out
 
 
-# -- tiered engine ------------------------------------------------------------
+# -- trace tier ---------------------------------------------------------------
 
-# Tiered-engine counters, fed by :class:`repro.tiering.TieredEngine`
+# Trace-tier counters, fed by :class:`repro.tiering.TieredEngine`
 # and the driver's adaptive-retier pass: traces promoted (with the
 # superblocks and instructions they cover, plus a trace-length
 # histogram and cross-seam fusion counts), trace-granular dispatches,

@@ -418,9 +418,8 @@ class Session:
                 # configured codecache_dir).
                 self.process.codecache.corrupt_disk_first()
             elif kind == "poison_trace":
-                engine = getattr(machine, "_engine", None)
-                if engine is not None and hasattr(engine, "poison_trace"):
-                    engine.poison_trace()
+                if machine._engine is not None:
+                    machine._engine.poison_trace()
             elif kind == "deadline":
                 budget = 1
             elif kind == "trap":
@@ -441,8 +440,8 @@ class Session:
         if self.closed:
             return
         self.closed = True
-        engine = getattr(self.process.machine, "_engine", None)
-        if engine is not None and hasattr(engine, "publish_profile"):
+        engine = self.process.machine._engine
+        if engine is not None:
             engine.publish_profile()
         # Drain write-behind persistence before detaching: templates this
         # session compiled must reach the shared cache directory even if

@@ -210,7 +210,7 @@ class Envelope:
         """Call into generated code under the deadline.
 
         The exec-side breaker (slot :data:`EXEC_RUNG`) guards *trust in
-        the block engine* for this signature: repeated watchdog trips or
+        the dispatch engine* for this signature: repeated watchdog trips or
         traps open it, after which execution is pinned to the reference
         per-instruction stepper with the superblock cache dropped — the
         ladder's final rung.

@@ -17,13 +17,14 @@ Modules:
 * :mod:`repro.target.memory` — segmented, bounds-checked data memory;
 * :mod:`repro.target.cpu` — the CPU interpreter, the I-cache model, and
   the :class:`~repro.target.cpu.Machine` facade;
-* :mod:`repro.target.dispatch` — the block-dispatch execution engine
-  (predecoded superblocks, superinstruction fusion), the default way a
+* :mod:`repro.target.dispatch` — the superblock code generator
+  (predecoded superblocks, superinstruction fusion) behind the dispatch
+  engine in :mod:`repro.tiering.engine`, the default way a
   :class:`~repro.target.cpu.Machine` executes installed code.
 """
 
 from repro.target.cpu import CPU, ENGINES, Function, ICache, Machine
-from repro.target.dispatch import BlockEngine, MAX_BLOCK_INSTRUCTIONS
+from repro.target.dispatch import MAX_BLOCK_INSTRUCTIONS
 from repro.target.isa import (
     CYCLE_COST,
     Instruction,
@@ -37,7 +38,6 @@ from repro.target.memory import Memory
 from repro.target.program import CodeSegment, Label
 
 __all__ = [
-    "BlockEngine",
     "CPU",
     "CodeSegment",
     "CYCLE_COST",

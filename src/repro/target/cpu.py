@@ -1,19 +1,19 @@
 """The CPU interpreter, the I-cache model, and the Machine facade.
 
-Three execution engines share this machine model:
+Two execution engines share this machine model:
 
-* ``engine="tiered"`` (the default) — the profile-guided engine in
-  :mod:`repro.tiering`: the block engine below plus a hotness-driven
-  trace tier that links hot superblocks across observed branches into
-  widened straight-line units (knobs via the ``tiering=`` policy, and
-  ``tiering_shared=`` for cross-session profile warm-up).
-* ``engine="block"`` — the block-dispatch engine in
-  :mod:`repro.target.dispatch`: code is predecoded into superblocks and
-  compiled to closed-over Python functions, with fuel checked at block
-  boundaries.  Modeled cycles, final machine state, and the trap
+* the dispatch engine in :mod:`repro.tiering.engine`: code is
+  predecoded into superblocks (:mod:`repro.target.dispatch`) compiled
+  to closed-over Python functions, with fuel checked at block
+  boundaries.  ``engine="tiered"`` (the default) runs it with the
+  profile-guided trace tier on, which links hot superblocks across
+  observed branches into widened straight-line units (knobs via the
+  ``tiering=`` policy, and ``tiering_shared=`` for cross-session
+  profile warm-up); ``engine="block"`` runs the same engine with the
+  trace tier off.  Modeled cycles, final machine state, and the trap
   taxonomy are identical to the reference by construction (the
-  differential suite in ``tests/test_engines.py`` enforces it; the
-  same contract binds the tiered engine).
+  differential suite in ``tests/test_engines.py`` enforces it in both
+  modes).
 * ``engine="reference"`` — the per-instruction stepper below, kept as
   the plainly-auditable oracle for differential testing.
 
@@ -81,7 +81,7 @@ ENGINES = ("tiered", "block", "reference")
 
 # -- instruction semantics ----------------------------------------------------------
 # The trapping helpers (sdiv/smod/udiv/umod/fdiv) live in isa.py, shared
-# with the block-dispatch engine.
+# with the superblock code generator.
 
 _INT_BIN = {
     Op.ADD: operator.add, Op.SUB: operator.sub, Op.MUL: operator.mul,
@@ -231,19 +231,14 @@ class Machine:
         self._host_functions: list = []
         self._host_index: dict = {}
         self._register_default_hostcalls()
-        if engine == "tiered":
+        if engine == "reference":
+            self._engine = None
+        else:
             from repro.tiering import TieredEngine
 
             self._engine = TieredEngine(self, policy=tiering,
                                         shared=tiering_shared)
             self.code.add_invalidation_listener(self._engine.on_segment_event)
-        elif engine == "block":
-            from repro.target.dispatch import BlockEngine
-
-            self._engine = BlockEngine(self)
-            self.code.add_invalidation_listener(self._engine.on_segment_event)
-        else:
-            self._engine = None
 
     # -- host callbacks ---------------------------------------------------------
 
@@ -371,13 +366,12 @@ class Machine:
         return wrap32(cpu.regs[Reg.RV])
 
     def distrust_block_cache(self) -> None:
-        """Drop every compiled superblock — and, on the tiered engine,
-        every formed trace plus the hotness profile behind them (no-op
-        on the reference engine).
+        """Drop every compiled superblock and formed trace, plus the
+        hotness profile behind them (no-op on the reference engine).
 
         The serving ladder calls this when it degrades a session to the
         reference rung: if predecoded blocks are suspected stale or
-        poisoned, the next block-engine run recompiles from the code
+        poisoned, the next dispatch-engine run recompiles from the code
         segment, and the current request executes on the oracle stepper.
         """
         if self._engine is not None:

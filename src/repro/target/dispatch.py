@@ -1,4 +1,4 @@
-"""The block-dispatch execution engine.
+"""The superblock code generator behind the dispatch engine.
 
 The reference stepper in :mod:`repro.target.cpu` fetches, decodes, and
 dispatches one instruction per Python-loop iteration — faithful, but the
@@ -8,15 +8,19 @@ one-time *predecode* pass for much cheaper steady-state execution:
 * installed code is carved into **superblocks** — straight-line runs
   ending at a branch, call, hostcall, or ``HALT`` (or capped at
   :data:`MAX_BLOCK_INSTRUCTIONS`);
-* each superblock is compiled, once, into a closed-over Python function:
-  operands become literals or preresolved constants, known
-  ``ZERO``-destination writes are dropped, and per-instruction cycle
-  costs are summed into batched charges;
+* each superblock is compiled, once, into a closed-over Python function
+  (:func:`compile_block`): operands become literals or preresolved
+  constants, known ``ZERO``-destination writes are dropped, and
+  per-instruction cycle costs are summed into batched charges;
 * common adjacent pairs are fused into **superinstructions**
   (cmp+branch, ``LI``+op, load+op, ``ADDI``+load/store), eliminating
-  the intermediate register-file traffic;
-* the dispatch loop runs block-to-block: one dict probe, one call, one
-  watchdog check per *block* instead of per instruction.
+  the intermediate register-file traffic.
+
+The dispatch loop that runs these blocks block-to-block — one dict
+probe, one call, one watchdog check per *block* instead of per
+instruction — and the block cache live in
+:class:`repro.tiering.engine.TieredEngine`, which also reuses
+:class:`_Gen` and the emitters below to compile its traces.
 
 Exactness contract (the paper's figures are denominated in modeled
 cycles, so this is non-negotiable):
@@ -27,25 +31,24 @@ cycles, so this is non-negotiable):
   the reference stepper's count exactly; successful runs charge the
   same total by construction.
 * **traps** — blocks record the faulting pc before every trap site and
-  re-raise through a handler that reconstructs the context the hardened
-  taxonomy promises (pc, disassembled instruction, containing function)
-  lazily, only when a trap actually fires.
-* **watchdog** — fuel is checked at block boundaries against the same
-  per-instruction checkpoints the reference uses (a taken-branch ``+1``
-  and a ``HALT``-fetch I-cache penalty are never themselves checked),
-  so trap-vs-success is decided identically; a trap inside a block may
+  re-raise through a handler; the dispatch loop reconstructs the
+  context the hardened taxonomy promises (pc, disassembled instruction,
+  containing function) lazily, only when a trap actually fires.
+* **watchdog** — the dispatch loop checks fuel at block boundaries
+  against the same per-instruction checkpoints the reference uses (a
+  taken-branch ``+1`` and a ``HALT``-fetch I-cache penalty are never
+  themselves checked, so blocks report them through ``TAIL``), so
+  trap-vs-success is decided identically; a trap inside a block may
   surface up to one block (bounded by :data:`MAX_BLOCK_INSTRUCTIONS`)
   later than the reference would raise it, with correspondingly more
   cycles charged — the documented "bounded overshoot".
 
-The block cache keys on entry pc and only admits blocks that lie
-entirely below the segment's linked horizon (the incremental linker
-never re-patches below it); rollback and fault-injection events arrive
-through :meth:`CodeSegment.add_invalidation_listener` and evict exactly
-the stale blocks.  Blocks cut short by the horizon or the cap end in a
-plain fall-through, so appending code never requires invalidation —
-which is how Tier-2 copy-and-patch reuse (append-only) composes with
-this engine for free.
+A block is cacheable only if it lies entirely below the segment's
+linked horizon (the incremental linker never re-patches below it).
+Blocks cut short by the horizon or the cap end in a plain fall-through,
+so appending code never requires invalidation — which is how Tier-2
+copy-and-patch reuse (append-only) composes with the block cache for
+free.
 """
 
 from __future__ import annotations
@@ -53,12 +56,7 @@ from __future__ import annotations
 import math
 
 from repro import report
-from repro.errors import (
-    CycleBudgetExceeded,
-    IllegalInstruction,
-    MachineError,
-    SegmentationFault,
-)
+from repro.errors import IllegalInstruction, MachineError
 from repro.target.isa import (
     BRANCH_OPS,
     COMPARE_OPS,
@@ -66,7 +64,6 @@ from repro.target.isa import (
     IMM_TO_BASE,
     SAFE_MEM_OPS,
     Op,
-    disassemble_one,
     fdiv,
     sdiv,
     smod,
@@ -641,222 +638,117 @@ def _emit_fused(g: _Gen, P: int, Pn: int, ins, nxt, kind: str) -> None:
         g.line(f"regs[{int(nxt.a)}] = {g.int_expr(nxt, {A: 't'})}")
 
 
-class BlockEngine:
-    """Predecoding block-dispatch interpreter for one :class:`Machine`.
+def build_env(machine, tail: list) -> dict:
+    """The closure environment every generated unit binds, keyed by
+    :data:`_ENV_NAMES`.  ``tail`` is the dispatch loop's unchecked-cycle
+    cell (``TAIL``).  The env closes over the I-cache, so the engine
+    rebuilds it (and drops every unit) when ``machine.icache`` changes."""
+    cpu = machine.cpu
+    memory = machine.memory
+    icache = machine.icache
+    return {
+        "cpu": cpu, "regs": cpu.regs, "fregs": cpu.fregs,
+        "wrap32": wrap32,
+        "lw": memory.load_word, "sw": memory.store_word,
+        "lb": memory.load_byte, "lbu": memory.load_byte_unsigned,
+        "sb": memory.store_byte,
+        "fld": memory.load_double, "fst": memory.store_double,
+        "sdiv": sdiv, "smod": smod, "udiv": udiv, "umod": umod,
+        "fdiv": fdiv,
+        "hostfn": machine._host_function_for,
+        "ill": _illegal,
+        "ic": icache.access if icache is not None else None,
+        "TAIL": tail,
+        "MachineError": MachineError,
+        # Closure cells for the trace tier's inlined memory fast
+        # path (``inline_mem``).  The region bounds are fixed at
+        # Memory construction, exactly like the bound accessor
+        # methods above.
+        "data": memory._data, "ifb": int.from_bytes,
+        "heap4": memory.heap_limit - 4, "heap1": memory.heap_limit,
+        "stackb": memory.stack_base,
+        "top4": memory.size - 4, "top1": memory.size,
+    }
 
-    Owns the block cache, the per-block code generator, and the
-    block-granular dispatch loop.  Registered as a code-segment
-    invalidation listener so rollbacks and injected faults evict stale
-    blocks (``on_segment_event``).
-    """
 
-    def __init__(self, machine):
-        self.machine = machine
-        self._blocks: dict = {}          # entry pc -> compiled block fn
-        self._block_end: dict = {}       # entry pc -> one-past-last pc
-        self._tail = [0]                 # unchecked cycle tail, see run()
-        self._env = None
-        self._env_icache = self          # sentinel: env not built yet
+def compile_block(machine, entry: int, env: dict):
+    """Predecode and compile the superblock starting at ``entry``.
 
-    # -- cache maintenance -------------------------------------------------------
+    Returns ``(fn, end)``: ``end`` is one past the block's last pc when
+    the block lies entirely within already-linked code (the caller may
+    cache it), else None."""
+    segment = machine.code
+    code = segment.instructions
+    horizon = segment._linked
+    cacheable = entry < horizon
+    # Never predecode past the linked horizon: link() may still
+    # patch Label/FuncRef operands there.  Unlinked entries compile
+    # from the operands as they stand, uncached.
+    cap = min(len(code), horizon) if cacheable else len(code)
 
-    def clear(self) -> None:
-        """Drop every compiled block (they recompile lazily on demand).
+    instrs = carve_block(code, entry, cap)
 
-        Public entry point for callers that stop trusting predecoded
-        state without a segment event — e.g. the serving ladder's
-        degrade-to-reference rung after suspected block poisoning."""
-        dropped = len(self._blocks)
-        self._blocks.clear()
-        self._block_end.clear()
-        if dropped:
-            report.record_block_invalidation(dropped)
+    icache = machine.icache
+    has_site = any(_charge_site(ins) for ins in instrs)
+    g = _Gen(entry, use_cy=has_site or icache is not None,
+             has_site=has_site, icache_on=icache is not None)
 
-    def on_segment_event(self, kind: str, length) -> None:
-        """Code-segment invalidation: drop exactly the blocks that can no
-        longer be trusted."""
-        if kind == "rollback" and length is not None:
-            stale = [e for e, end in self._block_end.items() if end > length]
-        else:                            # fault injection or unknown: all
-            stale = list(self._blocks)
-        for entry in stale:
-            del self._blocks[entry]
-            self._block_end.pop(entry, None)
-        if stale:
-            report.record_block_invalidation(len(stale))
+    fused: dict = {}
+    fuse_ok = icache is None             # keep per-fetch order exact
+    i = 0
+    while i < len(instrs):
+        P = entry + i
+        if icache is not None and instrs[i].op is not Op.HALT:
+            g.line(f"cy += ic({P})")
+        nxt = instrs[i + 1] if i + 1 < len(instrs) else None
+        kind = _fusion_kind(instrs[i], nxt) if fuse_ok else None
+        if kind is not None:
+            _emit_fused(g, P, P + 1, instrs[i], nxt, kind)
+            fused[kind] = fused.get(kind, 0) + 1
+            i += 2
+        else:
+            _emit_one(g, P, instrs[i])
+            i += 1
+    if not g.closed:                     # capped / horizon / end of code
+        g.charge(0)
+        g.pend = 0
+        g.line(f"return {entry + len(instrs)}")
 
-    def _build_env(self) -> dict:
-        machine = self.machine
-        cpu = machine.cpu
-        memory = machine.memory
-        icache = machine.icache
-        return {
-            "cpu": cpu, "regs": cpu.regs, "fregs": cpu.fregs,
-            "wrap32": wrap32,
-            "lw": memory.load_word, "sw": memory.store_word,
-            "lb": memory.load_byte, "lbu": memory.load_byte_unsigned,
-            "sb": memory.store_byte,
-            "fld": memory.load_double, "fst": memory.store_double,
-            "sdiv": sdiv, "smod": smod, "udiv": udiv, "umod": umod,
-            "fdiv": fdiv,
-            "hostfn": machine._host_function_for,
-            "ill": _illegal,
-            "ic": icache.access if icache is not None else None,
-            "TAIL": self._tail,
-            "MachineError": MachineError,
-            # Closure cells for the trace tier's inlined memory fast
-            # path (``inline_mem``).  The region bounds are fixed at
-            # Memory construction, exactly like the bound accessor
-            # methods above.
-            "data": memory._data, "ifb": int.from_bytes,
-            "heap4": memory.heap_limit - 4, "heap1": memory.heap_limit,
-            "stackb": memory.stack_base,
-            "top4": memory.size - 4, "top1": memory.size,
-        }
+    blk = assemble(g, env)
+    report.record_block_compiled(len(instrs), fused)
+    tracer = machine.tracer
+    if tracer is not None and tracer.enabled:
+        tracer.instant("superblock", cat="event", entry=entry,
+                       instructions=len(instrs),
+                       fused=sum(fused.values()))
+    return blk, (entry + len(instrs) if cacheable else None)
 
-    # -- block compilation -------------------------------------------------------
 
-    def _compile_block(self, entry: int):
-        """Predecode and compile the superblock starting at ``entry``;
-        cache it if it lies entirely within already-linked code."""
-        segment = self.machine.code
-        code = segment.instructions
-        horizon = segment._linked
-        cacheable = entry < horizon
-        # Never predecode past the linked horizon: link() may still
-        # patch Label/FuncRef operands there.  Unlinked entries compile
-        # from the operands as they stand, uncached.
-        cap = min(len(code), horizon) if cacheable else len(code)
-
-        instrs = carve_block(code, entry, cap)
-
-        icache = self.machine.icache
-        has_site = any(_charge_site(ins) for ins in instrs)
-        g = _Gen(entry, use_cy=has_site or icache is not None,
-                 has_site=has_site, icache_on=icache is not None)
-
-        fused: dict = {}
-        fuse_ok = icache is None         # keep per-fetch order exact
-        i = 0
-        while i < len(instrs):
-            P = entry + i
-            if icache is not None and instrs[i].op is not Op.HALT:
-                g.line(f"cy += ic({P})")
-            nxt = instrs[i + 1] if i + 1 < len(instrs) else None
-            kind = _fusion_kind(instrs[i], nxt) if fuse_ok else None
-            if kind is not None:
-                _emit_fused(g, P, P + 1, instrs[i], nxt, kind)
-                fused[kind] = fused.get(kind, 0) + 1
-                i += 2
-            else:
-                _emit_one(g, P, instrs[i])
-                i += 1
-        if not g.closed:                 # capped / horizon / end of code
-            g.charge(0)
-            g.pend = 0
-            g.line(f"return {entry + len(instrs)}")
-
-        blk = self._assemble(g)
-        if cacheable:
-            self._blocks[entry] = blk
-            self._block_end[entry] = entry + len(instrs)
-        report.record_block_compiled(len(instrs), fused)
-        tracer = getattr(self.machine, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            tracer.instant("superblock", cat="event", entry=entry,
-                           instructions=len(instrs),
-                           fused=sum(fused.values()))
-        return blk
-
-    def _assemble(self, g: _Gen):
-        """Wrap the generated body in the factory/closure scaffolding and
-        exec it.  The factory parameters become closure cells, so every
-        machine touchpoint is one LOAD_DEREF in the hot path."""
-        params = list(_ENV_NAMES) + sorted(g.consts)
-        out = [f"def __make__({', '.join(params)}):",
-               "    def __block__():"]
-        depth = 2
-        if g.use_cy:
-            out.append("        cy = 0")
-        if g.has_site:
-            out.append(f"        pc = {g.entry}")
-            out.append("        try:")
-            depth = 3
-        pad = "    " * depth
-        out.extend(pad + line for line in g.lines)
-        if g.has_site:
-            out.append("        except MachineError:")
-            out.append("            cpu.cycles += cy")
-            out.append("            cpu.pc = pc")
-            out.append("            raise")
-        out.append("    return __block__")
-        source = "\n".join(out)
-        namespace: dict = {}
-        exec(compile(source, f"<superblock@{g.entry}>", "exec"), namespace)
-        env = dict(self._env)
-        env.update(g.consts)
-        return namespace["__make__"](**env)
-
-    # -- dispatch ----------------------------------------------------------------
-
-    def run(self, entry: int, budget, name) -> None:
-        """Execute from ``entry`` until HALT, a trap, or fuel exhaustion.
-
-        The budget check compares ``cpu.cycles - TAIL[0]`` against the
-        limit: ``TAIL[0]`` is whatever the finishing block charged past
-        the reference stepper's final per-instruction checkpoint (a
-        taken-branch ``+1``, a HALT-fetch I-cache penalty), which the
-        reference never checks either — so trap-vs-success agrees.
-        """
-        machine = self.machine
-        cpu = machine.cpu
-        code = machine.code.instructions
-        if machine.icache is not self._env_icache:
-            # The env closes over the I-cache (and generated code shape
-            # depends on it), so a swap invalidates everything.
-            self._blocks.clear()
-            self._block_end.clear()
-            self._env = self._build_env()
-            self._env_icache = machine.icache
-        blocks = self._blocks
-        tail = self._tail
-        limit = math.inf if budget is None else cpu.cycles + budget
-        pc = entry
-        dispatches = 0
-        hits = 0
-        try:
-            while True:
-                blk = blocks.get(pc)
-                if blk is None:
-                    if pc < 0 or pc >= len(code):
-                        cpu.pc = pc
-                        raise SegmentationFault(
-                            f"pc {pc} is out of code range "
-                            f"0..{len(code) - 1}"
-                        )
-                    blk = self._compile_block(pc)
-                else:
-                    hits += 1
-                dispatches += 1
-                tail[0] = 0
-                pc = blk()
-                if cpu.cycles - tail[0] > limit:
-                    if pc is not None:
-                        cpu.pc = pc
-                    raise CycleBudgetExceeded(
-                        f"cycle budget of {budget} exceeded: runaway "
-                        "execution halted by the watchdog"
-                    )
-                if pc is None:
-                    return
-        except MachineError as trap:
-            p = cpu.pc
-            text = None
-            if isinstance(p, int) and 0 <= p < len(code):
-                text = disassemble_one(code[p])
-            trap.attach_context(pc=p, instr=text,
-                                function=name or machine.code.function_at(p))
-            raise
-        finally:
-            if dispatches:
-                report.record_dispatch(dispatches, hits)
+def assemble(g: _Gen, env: dict):
+    """Wrap the generated body in the factory/closure scaffolding and
+    exec it.  The factory parameters become closure cells, so every
+    machine touchpoint is one LOAD_DEREF in the hot path."""
+    params = list(_ENV_NAMES) + sorted(g.consts)
+    out = [f"def __make__({', '.join(params)}):",
+           "    def __block__():"]
+    depth = 2
+    if g.use_cy:
+        out.append("        cy = 0")
+    if g.has_site:
+        out.append(f"        pc = {g.entry}")
+        out.append("        try:")
+        depth = 3
+    pad = "    " * depth
+    out.extend(pad + line for line in g.lines)
+    if g.has_site:
+        out.append("        except MachineError:")
+        out.append("            cpu.cycles += cy")
+        out.append("            cpu.pc = pc")
+        out.append("            raise")
+    out.append("    return __block__")
+    source = "\n".join(out)
+    namespace: dict = {}
+    exec(compile(source, f"<superblock@{g.entry}>", "exec"), namespace)
+    bound = dict(env)
+    bound.update(g.consts)
+    return namespace["__make__"](**bound)

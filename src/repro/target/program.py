@@ -133,7 +133,7 @@ class CodeSegment:
         no longer be reused: ``("rollback", new_length)`` after a
         :meth:`release` truncation, ``("fault", None)`` when a fault is
         injected.  Used by the specialization cache and by the
-        block-dispatch engine's superblock cache."""
+        dispatch engine's block and trace caches."""
         with self._listener_lock:
             self._invalidation_listeners += (fn,)
 

@@ -2,7 +2,7 @@
 
 One process-wide :data:`REGISTRY` absorbs the ad-hoc module-level stats
 dicts that grew in :mod:`repro.report` over PRs 1-4 (fallbacks, the
-specialization cache, the block-dispatch engine, the verifier suite).
+specialization cache, the dispatch engine, the verifier suite).
 The legacy accessors in ``report`` are thin views over these metrics, so
 nothing downstream had to change; new subsystems register metrics here
 directly.

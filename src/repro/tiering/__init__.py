@@ -1,13 +1,16 @@
-"""Profile-guided tiering: trace formation and adaptive promotion.
+"""The dispatch engine and its profile-guided trace tier.
 
-The block-dispatch engine (PR 3) already counts how often every
-superblock is dispatched; this package acts on those counters.  When a
-block crosses a hotness threshold, the :class:`TieredEngine` links the
-hot superblocks along their observed taken branches into one widened
-straight-line **trace**, re-runs superinstruction fusion over the
-widened window, and hoists the per-block watchdog probe and block-cache
-lookup out of the interior — paying them once per trace entry instead of
-once per block.  Modeled cycles, machine state, and the trap taxonomy
+:class:`TieredEngine` is the one engine behind every non-reference
+``Machine``.  It dispatches superblocks block-to-block; with the trace
+tier on (``engine="tiered"``, the default) it also counts how often
+every superblock is dispatched, and when a block crosses a hotness
+threshold it links the hot superblocks along their observed taken
+branches into one widened straight-line **trace**, re-runs
+superinstruction fusion over the widened window, and hoists the
+per-block watchdog probe and block-cache lookup out of the interior —
+paying them once per trace entry instead of once per block.
+``engine="block"`` is the same engine with the trace tier off: no trace
+probe, no profile.  Modeled cycles, machine state, and the trap taxonomy
 stay bit-identical to the reference stepper (``tests/test_engines.py``
 proves it differentially, including mid-run promotions and deopts).
 
@@ -18,10 +21,10 @@ Layout:
     trace size caps).
 ``trace``
     trace formation from the dispatch profile and trace code generation
-    (reusing the block engine's generator and fusion rules).
+    (reusing the superblock generator and fusion rules).
 ``engine``
-    :class:`TieredEngine` — the profiling dispatch loop, the trace
-    cache, promotion, and deopt.
+    :class:`TieredEngine` — the dispatch loop, the block and trace
+    caches, the profile, promotion, invalidation, and deopt.
 ``hotness``
     :class:`SharedHotness` — the thread-safe cross-session profile the
     serving engine uses so one session's hot loops warm another's traces.

@@ -1,7 +1,10 @@
-"""The tiered execution engine: profiling dispatch + trace promotion.
+"""The dispatch engine: superblock dispatch plus a profile-guided trace tier.
 
-:class:`TieredEngine` extends the block engine with a second, hotter
-tier.  Its dispatch loop profiles every block dispatch (count + last
+:class:`TieredEngine` runs installed code for every ``Machine`` not on
+the reference stepper.  Its dispatch loop runs the superblocks that
+:mod:`repro.target.dispatch` compiles, block-to-block, from a block
+cache keyed by entry pc.  With the trace tier on (``engine="tiered"``,
+the default) the loop also profiles every block dispatch (count + last
 observed successor edge); when a block's count reaches the policy's
 hotness threshold it is **promoted**: :func:`repro.tiering.trace.form_trace`
 links the hot superblocks along the profile into one straight-line
@@ -9,19 +12,22 @@ trace, the trace compiler re-runs superinstruction fusion over the
 widened window, and the compiled trace is installed in a trace cache
 probed *before* the block cache.  A trace call replaces many block
 dispatches — the per-seam cache probe and watchdog check are paid once
-per trace entry, with the same ``TAIL``-adjusted accounting the block
-engine uses, so modeled cycles, machine state, and the trap taxonomy
-remain bit-identical to the reference stepper.
+per trace entry, with the same ``TAIL``-adjusted accounting blocks use.
+With the trace tier off (``engine="block"``, or any machine with an
+I-cache attached) the loop probes no trace cache and writes no profile.
+Either way modeled cycles, machine state, and the trap taxonomy remain
+bit-identical to the reference stepper.
 
 Deopt paths (all land back on the always-correct block tier):
 
 * **guard side exit** — a trace's speculated branch direction is wrong
   for this execution; the trace returns the off-trace pc and the
   dispatch loop continues on the block path.  Not an eviction.
-* **invalidation** — segment rollback evicts traces overlapping the
-  discarded range; fault injection and :meth:`clear` (the serving
-  exec-trust breaker's demotion hook) drop everything, profile
-  included.
+* **invalidation** — whatever evicts code also drops its profile.
+  Segment rollback evicts the blocks and traces reaching past the new
+  length, with the profile at or past it; fault injection, an I-cache
+  swap, and :meth:`TieredEngine.clear` (the serving exec-trust
+  breaker's demotion hook) evict everything.
 * **poison** — the deterministic chaos hook replaces a live trace with
   a stub raising :class:`_TracePoisoned` before touching any machine
   state; the dispatch loop evicts the trace, resets its hotness, and
@@ -34,8 +40,14 @@ import math
 
 from repro import report
 from repro.errors import CycleBudgetExceeded, MachineError, SegmentationFault
-from repro.target.dispatch import BlockEngine, _Gen
-from repro.target.isa import disassemble_one
+from repro.target.dispatch import (
+    _Gen,
+    assemble,
+    build_env,
+    carve_block,
+    compile_block,
+)
+from repro.target.isa import CYCLE_COST, disassemble_one
 from repro.tiering.policy import TieringPolicy
 from repro.tiering.trace import emit_trace, form_trace, trace_has_site
 
@@ -53,19 +65,39 @@ def _poisoned_trace():
     raise _TracePoisoned()
 
 
-class TieredEngine(BlockEngine):
-    """Block engine + profile-guided trace tier for one ``Machine``."""
+def _out_of_fuel(cpu, pc, budget):
+    """The watchdog trap, raised when a unit finished past the limit."""
+    if pc is not None:
+        cpu.pc = pc
+    raise CycleBudgetExceeded(
+        f"cycle budget of {budget} exceeded: runaway "
+        "execution halted by the watchdog"
+    )
+
+
+class TieredEngine:
+    """The dispatch engine for one ``Machine``: the block cache, plus
+    the profile-guided trace tier when the machine's engine is
+    ``"tiered"``.  Registered as a code-segment invalidation listener
+    (:meth:`on_segment_event`)."""
 
     def __init__(self, machine, policy=None, shared=None):
-        super().__init__(machine)
+        self.machine = machine
         self.policy = TieringPolicy.of(policy)
-        self.shared = shared             # SharedHotness or None
+        self.tracing = machine.engine == "tiered"
+        self.shared = shared if self.tracing else None  # SharedHotness
+        self._blocks: dict = {}          # entry pc -> compiled block fn
+        self._block_end: dict = {}       # entry pc -> one-past-last pc
         self._traces: dict = {}          # entry pc -> compiled trace fn
         self._trace_info: dict = {}      # entry -> (end, blocks, n_ins, cost)
-        self._counts: dict = {}          # block entry -> dispatch count
+        self._counts: dict = {}          # unit entry -> dispatch count
         self._succ: dict = {}            # block entry -> last successor
         self._promoted: set = set()      # entries already considered
+        self._seed = ({}, {})            # (counts, succ) read from shared
         self._poison_next = False        # chaos: poison the next trace
+        self._tail = [0]                 # unchecked cycle tail, see run()
+        self._env = build_env(machine, self._tail)
+        self._env_icache = machine.icache
         self._seed_from_shared()
 
     # -- shared hotness ----------------------------------------------------------
@@ -83,46 +115,60 @@ class TieredEngine(BlockEngine):
             if n > 0:
                 self._counts[pc] = min(n, cap)
         self._succ.update(succ)
+        self._seed = (dict(self._counts), succ)
 
     def publish_profile(self) -> None:
-        """Fold this engine's profile into the shared rollup (called by
-        the serving session on close)."""
-        if self.shared is not None:
-            self.shared.absorb(self._counts, self._succ)
+        """Fold what this engine dispatched into the shared rollup
+        (called by the serving session on close).  The seed is
+        subtracted: a session never re-publishes counts it only read."""
+        if self.shared is None:
+            return
+        seed_counts, seed_succ = self._seed
+        self.shared.absorb(
+            {pc: n - seed_counts.get(pc, 0)
+             for pc, n in self._counts.items()},
+            {pc: s for pc, s in self._succ.items() if seed_succ.get(pc) != s})
 
     # -- cache maintenance -------------------------------------------------------
 
-    def clear(self) -> None:
-        """Drop traces, blocks, *and* the profile.
+    def _evict(self, length: int) -> None:
+        """Drop every block and trace reaching past ``length``, and the
+        profile at or past it.  Whatever evicts code also drops its
+        profile: promotion fires when a count *equals* the threshold,
+        so a stale count would keep the code that replaces it from ever
+        promoting.  ``length`` 0 drops everything."""
+        blocks = [e for e, end in self._block_end.items() if end > length]
+        traces = [e for e, info in self._trace_info.items()
+                  if info[0] > length]
+        for entry in blocks:
+            del self._blocks[entry], self._block_end[entry]
+        for entry in traces:
+            del self._traces[entry], self._trace_info[entry]
+        for table in (self._counts, self._succ, *self._seed):
+            for pc in [p for p in table if p >= length]:
+                del table[pc]
+        self._promoted.difference_update(
+            [p for p in self._promoted if p >= length])
+        if blocks:
+            report.record_block_invalidation(len(blocks))
+        if traces:
+            report.record_trace_invalidation(len(traces))
 
-        The profile must go too: promotion triggers on an exact count
-        match, so stale counts far above the threshold would never
-        re-fire.  Used by the serving exec-trust breaker (via
-        ``Machine.distrust_block_cache``) to demote traces alongside
-        blocks."""
-        dropped = len(self._traces)
-        self._traces.clear()
-        self._trace_info.clear()
-        self._promoted.clear()
-        self._counts.clear()
-        self._succ.clear()
-        if dropped:
-            report.record_trace_invalidation(dropped)
-        super().clear()
+    def clear(self) -> None:
+        """Drop every block, every trace, and the whole profile (units
+        recompile lazily on demand).
+
+        Public entry point for callers that stop trusting predecoded
+        state without a segment event — the serving ladder's
+        degrade-to-reference rung and exec-trust breaker (via
+        ``Machine.distrust_block_cache``)."""
+        self._evict(0)
 
     def on_segment_event(self, kind: str, length) -> None:
-        if kind == "rollback" and length is not None:
-            stale = [e for e, info in self._trace_info.items()
-                     if info[0] > length]
-        else:
-            stale = list(self._traces)
-        for entry in stale:
-            self._traces.pop(entry, None)
-            self._trace_info.pop(entry, None)
-            self._promoted.discard(entry)
-        if stale:
-            report.record_trace_invalidation(len(stale))
-        super().on_segment_event(kind, length)
+        """Code-segment invalidation: a rollback evicts what reaches past
+        the new ``length``; a fault (or anything else) evicts all."""
+        self._evict(length if kind == "rollback" and length is not None
+                    else 0)
 
     # -- chaos / deopt -----------------------------------------------------------
 
@@ -142,8 +188,9 @@ class TieredEngine(BlockEngine):
         self._trace_info.pop(entry, None)
         self._promoted.discard(entry)
         self._counts[entry] = 0
+        self._seed[0].pop(entry, None)
         report.record_deopt()
-        tracer = getattr(self.machine, "tracer", None)
+        tracer = self.machine.tracer
         if tracer is not None and tracer.enabled:
             tracer.instant("deopt", cat="event", entry=entry, reason=reason)
 
@@ -158,7 +205,7 @@ class TieredEngine(BlockEngine):
         horizon = segment._linked
         if not (0 <= entry < horizon):
             return                       # only linked code is traceable
-        tracer = getattr(self.machine, "tracer", None)
+        tracer = self.machine.tracer
         span = None
         if tracer is not None and tracer.enabled:
             span = tracer.begin("promote", cat="compile", entry=entry)
@@ -171,7 +218,7 @@ class TieredEngine(BlockEngine):
             g = _Gen(entry, use_cy=has_site, has_site=has_site,
                      icache_on=False, inline_wrap=True, inline_mem=True)
             fused = emit_trace(g, form)
-            fn = self._assemble(g)
+            fn = assemble(g, self._env)
             if self._poison_next:
                 self._poison_next = False
                 fn = _poisoned_trace
@@ -189,24 +236,28 @@ class TieredEngine(BlockEngine):
     # -- dispatch ----------------------------------------------------------------
 
     def run(self, entry: int, budget, name) -> None:
-        """The profiling, trace-probing dispatch loop.
+        """Execute from ``entry`` until HALT, a trap, or fuel exhaustion.
 
-        Identical watchdog/trap semantics to :meth:`BlockEngine.run`;
-        the additions are (a) the trace cache is probed first, (b) the
-        block path maintains the dispatch-count and successor-edge
-        profile and fires promotion at the hotness threshold, and
-        (c) :class:`_TracePoisoned` deopts back to the block path.
+        Blocks run from the block cache, compiled on first dispatch.
+        With the trace tier on, the loop also (a) probes the trace cache
+        first, (b) keeps the dispatch-count and successor-edge profile
+        on the block path and fires promotion at the hotness threshold,
+        and (c) deopts a :class:`_TracePoisoned` trace to the block path.
+
+        The budget check compares ``cpu.cycles - TAIL[0]`` against the
+        limit: ``TAIL[0]`` is whatever the finishing unit charged past
+        the reference stepper's final per-instruction checkpoint (a
+        taken-branch ``+1``, a HALT-fetch I-cache penalty), which the
+        reference never checks either — so trap-vs-success agrees.
         """
         machine = self.machine
         cpu = machine.cpu
         code = machine.code.instructions
         if machine.icache is not self._env_icache:
-            self._blocks.clear()
-            self._block_end.clear()
-            self._traces.clear()         # traces close over the env too
-            self._trace_info.clear()
-            self._promoted.clear()
-            self._env = self._build_env()
+            # The env closes over the I-cache (and generated code shape
+            # depends on it), so a swap invalidates every unit.
+            self._evict(0)
+            self._env = build_env(machine, self._tail)
             self._env_icache = machine.icache
         blocks = self._blocks
         traces = self._traces
@@ -215,39 +266,39 @@ class TieredEngine(BlockEngine):
         tail = self._tail
         # Fusion (and therefore tracing) is off under the I-cache: the
         # per-fetch accounting needs the per-block shape.
-        hot = self.policy.hot_threshold \
-            if (self.policy.enabled and machine.icache is None) else None
+        tracing = self.tracing and machine.icache is None
+        hot = self.policy.hot_threshold
         limit = math.inf if budget is None else cpu.cycles + budget
         pc = entry
         prev = -1                        # previous block entry (edge profile)
-        dispatches = 0
-        hits = 0
-        trace_runs = 0
+        n = 0                            # its dispatch count
+        hits = compiles = trace_runs = 0
         try:
             while True:
-                unit = traces.get(pc)
-                if unit is not None:
-                    dispatches += 1
-                    trace_runs += 1
-                    tail[0] = 0
-                    try:
-                        nxt = unit()
-                    except _TracePoisoned:
-                        self._deopt(pc, "poisoned")
-                        continue         # same pc, block path this time
-                    counts[pc] = counts.get(pc, 0) + 1
-                    prev = -1            # trace exits don't profile edges
-                    pc = nxt
-                    if cpu.cycles - tail[0] > limit:
-                        if pc is not None:
-                            cpu.pc = pc
-                        raise CycleBudgetExceeded(
-                            f"cycle budget of {budget} exceeded: runaway "
-                            "execution halted by the watchdog"
-                        )
-                    if pc is None:
-                        return
-                    continue
+                if tracing:
+                    if n == hot:
+                        # Promote once the hot block's dispatch completed:
+                        # the successor edge just observed is the freshest
+                        # profile the trace former can use.
+                        self._promote(prev)
+                        n = 0
+                    unit = traces.get(pc)
+                    if unit is not None:
+                        trace_runs += 1
+                        tail[0] = 0
+                        try:
+                            nxt = unit()
+                        except _TracePoisoned:
+                            self._deopt(pc, "poisoned")
+                            continue     # same pc, block path this time
+                        counts[pc] = counts.get(pc, 0) + 1
+                        prev = -1        # trace exits don't profile edges
+                        pc = nxt
+                        if cpu.cycles - tail[0] > limit:
+                            _out_of_fuel(cpu, pc, budget)
+                        if pc is None:
+                            return
+                        continue
                 blk = blocks.get(pc)
                 if blk is None:
                     if pc < 0 or pc >= len(code):
@@ -256,31 +307,25 @@ class TieredEngine(BlockEngine):
                             f"pc {pc} is out of code range "
                             f"0..{len(code) - 1}"
                         )
-                    blk = self._compile_block(pc)
+                    blk, end = compile_block(machine, pc, self._env)
+                    if end is not None:
+                        blocks[pc] = blk
+                        self._block_end[pc] = end
+                    compiles += 1
                 else:
                     hits += 1
-                dispatches += 1
-                n = counts.get(pc, 0) + 1
-                counts[pc] = n
-                if prev >= 0:
-                    succ[prev] = pc
-                prev = pc
+                if tracing:
+                    n = counts.get(pc, 0) + 1
+                    counts[pc] = n
+                    if prev >= 0:
+                        succ[prev] = pc
+                    prev = pc
                 tail[0] = 0
                 pc = blk()
                 if cpu.cycles - tail[0] > limit:
-                    if pc is not None:
-                        cpu.pc = pc
-                    raise CycleBudgetExceeded(
-                        f"cycle budget of {budget} exceeded: runaway "
-                        "execution halted by the watchdog"
-                    )
+                    _out_of_fuel(cpu, pc, budget)
                 if pc is None:
                     return
-                if n == hot:
-                    # Promote only after this dispatch completed: the
-                    # successor edge just observed is the freshest
-                    # profile the trace former can use.
-                    self._promote(prev)
         except MachineError as trap:
             p = cpu.pc
             text = None
@@ -290,8 +335,8 @@ class TieredEngine(BlockEngine):
                                 function=name or machine.code.function_at(p))
             raise
         finally:
-            if dispatches:
-                report.record_dispatch(dispatches, hits)
+            if hits or compiles:
+                report.record_dispatch(hits + compiles, hits)
             if trace_runs:
                 report.record_trace_dispatches(trace_runs)
 
@@ -304,8 +349,6 @@ class TieredEngine(BlockEngine):
         Traces report their formed shape; blocks are carved on demand.
         Used by the ``report hot`` CLI subcommand and the benchmarks.
         """
-        from repro.target.dispatch import carve_block
-        from repro.target.isa import CYCLE_COST
         code = self.machine.code.instructions
         rows = []
         for pc, n in self._counts.items():

@@ -1,7 +1,7 @@
 """Cross-session hotness sharing for the serving engine.
 
 Each serving session runs its own :class:`repro.tiering.TieredEngine`
-with a private dispatch profile.  The serving :class:`~repro.serving.engine.Engine`
+with a private dispatch profile (empty when the trace tier is off).  The serving :class:`~repro.serving.engine.Engine`
 owns one :class:`SharedHotness`; sessions seed their private profile
 from it at open and publish their counts back on close, so one client's
 hot loops warm the traces of the next client running the same program.

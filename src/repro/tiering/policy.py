@@ -1,8 +1,10 @@
-"""Promotion policy knobs for the tiered engine.
+"""Promotion policy knobs for the trace tier.
 
 A :class:`TieringPolicy` is carried by :class:`repro.tiering.TieredEngine`
 and controls when a superblock is promoted to a trace and how large the
 formed trace may grow.  It is plain data — the engine interprets it.
+Whether the trace tier runs at all is the machine's engine choice
+(``"tiered"`` on, ``"block"`` off), not a policy field.
 """
 
 
@@ -22,16 +24,13 @@ class TieringPolicy:
     ``max_trace_blocks``
         Safety valve on the number of superblocks linked into one trace;
         the instruction cap usually dominates.
-    ``enabled``
-        When false the tiered engine never promotes and behaves exactly
-        like the block engine (plus profiling).
     """
 
     __slots__ = ("hot_threshold", "max_trace_instructions",
-                 "max_trace_blocks", "enabled")
+                 "max_trace_blocks")
 
     def __init__(self, hot_threshold=8, max_trace_instructions=512,
-                 max_trace_blocks=256, enabled=True):
+                 max_trace_blocks=256):
         if not isinstance(hot_threshold, int) or hot_threshold < 2:
             raise ValueError(
                 "hot_threshold must be an int >= 2 "
@@ -43,7 +42,6 @@ class TieringPolicy:
         self.hot_threshold = hot_threshold
         self.max_trace_instructions = max_trace_instructions
         self.max_trace_blocks = max_trace_blocks
-        self.enabled = bool(enabled)
 
     @classmethod
     def of(cls, value):
@@ -65,5 +63,4 @@ class TieringPolicy:
     def __repr__(self):
         return (f"TieringPolicy(hot_threshold={self.hot_threshold}, "
                 f"max_trace_instructions={self.max_trace_instructions}, "
-                f"max_trace_blocks={self.max_trace_blocks}, "
-                f"enabled={self.enabled})")
+                f"max_trace_blocks={self.max_trace_blocks})")

@@ -1,10 +1,10 @@
 """Trace formation and trace code generation.
 
-A **trace** widens the block engine's unit of work: starting from a hot
+A **trace** widens the dispatch engine's unit of work: starting from a hot
 superblock, formation follows the *observed* control flow recorded by
 the profiling dispatch loop — elided unconditional jumps and calls,
 guarded conditional branches — linking several superblocks into one
-straight-line run.  The trace compiler then replays the block engine's
+straight-line run.  The trace compiler then replays the superblock
 code generator (:class:`repro.target.dispatch._Gen` and the fusion
 rules) over the widened window, which
 
@@ -40,7 +40,7 @@ from repro.target.dispatch import (
     _Gen,
     carve_block,
 )
-from repro.target.isa import COMPARE_OPS, CYCLE_COST, IMM_TO_BASE, Op
+from repro.target.isa import CYCLE_COST, Op
 
 
 class TraceForm:
@@ -58,7 +58,7 @@ class TraceForm:
       direction becomes a side exit.
 
     ``terminal`` is ``("end", pc, ins)`` for a real terminator compiled
-    via the block engine's emitter, or ``("cont", pc)`` for a plain
+    via the superblock emitter, or ``("cont", pc)`` for a plain
     fall-through back to the dispatch loop (cap / horizon).
 
     ``block_entries`` lists the entry pcs of the superblocks the trace
@@ -219,13 +219,6 @@ def _emit_fused_guard(g: _Gen, P: int, ins, Pn: int, br,
         g.line(f"return {g.imm(br.b)}", indent=1)
 
 
-def _guard_fusable(ins, br) -> bool:
-    """Can ``ins`` (a compare) fuse with the guard branch ``br``?"""
-    return (IMM_TO_BASE.get(ins.op, ins.op) in COMPARE_OPS
-            and isinstance(ins.a, int) and int(ins.a) != 0
-            and isinstance(br.a, int) and int(br.a) == int(ins.a))
-
-
 def emit_trace(g: _Gen, form: TraceForm) -> dict:
     """Generate the trace body into ``g``; returns the fused-pair
     histogram (kind -> count), including cross-seam pairs.
@@ -270,7 +263,7 @@ def emit_trace(g: _Gen, form: TraceForm) -> dict:
                     i += 3
                     continue
             if (nxt is not None and nxt[0] == "guard"
-                    and _guard_fusable(ins, nxt[2])):
+                    and _fusion_kind(ins, nxt[2]) == "cmp_branch"):
                 _emit_fused_guard(g, P, ins, nxt[1], nxt[2], nxt[3])
                 fused["cmp_branch"] = fused.get("cmp_branch", 0) + 1
                 i += 2

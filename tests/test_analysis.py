@@ -12,7 +12,7 @@ from repro.analysis.usedops import (
 )
 from repro.apps import ALL_APPS
 from repro.apps.table1 import TABLE1_ROWS, run_row, table1
-from repro.target.isa import Op
+from repro.target.isa import Instruction, Op
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,28 @@ class TestUsedOps:
             + len(report.fusion_kinds) * FUSED_CASE_SIZE
         )
         assert est["reduction_factor"] > 1.0
+
+    def test_fusion_pairs_match_dispatch_fusion(self):
+        """FUSION_PAIRS, which sizes the pruned translator, names exactly
+        the opcode pairs the superblock generator fuses: over every
+        opcode pair, with the first result read through each operand
+        slot a fusion rule inspects."""
+        from repro.target.dispatch import FUSION_PAIRS, _fusion_kind
+
+        r = 5
+        mismatches = []
+        for op in Op:
+            ins = Instruction(op, r, 6, 7)
+            for nop in Op:
+                shapes = (Instruction(nop, r, 0, 0),    # branch condition
+                          Instruction(nop, 8, r, 9),    # base / x operand
+                          Instruction(nop, 8, 9, r))    # reg-form y operand
+                got = {_fusion_kind(ins, nxt) for nxt in shapes} - {None}
+                want = {kind for kind, (first, second) in FUSION_PAIRS.items()
+                        if op in first and nop in second}
+                if got != want:
+                    mismatches.append((op.name, nop.name, got, want))
+        assert mismatches == []
 
     def test_float_ops_detected(self, tcc):
         prog = tcc.compile(

@@ -191,13 +191,13 @@ def test_branch_out_of_code_range_traps_identically():
 
 # -- watchdog taxonomy ----------------------------------------------------------
 
-def _countdown(n):
+def _countdown(n, at=1):
     # On a fresh machine pc 0 holds the top-level HALT, so extend() places
-    # these at pc 1..4; the branch targets the SUBI at pc 2.
+    # these at pc 1..4 by default; the branch targets the SUBI at at + 1.
     return [
         Instruction(Op.LI, Reg.T0, n),
         Instruction(Op.SUBI, Reg.T0, Reg.T0, 1),
-        Instruction(Op.BNEZ, Reg.T0, 2),
+        Instruction(Op.BNEZ, Reg.T0, at + 1),
         Instruction(Op.RET),
     ]
 
@@ -387,32 +387,42 @@ def test_engine_knob_is_validated():
     assert Machine(engine="reference")._engine is None
     assert Machine().engine == "tiered"
     assert isinstance(Machine()._engine, TieredEngine)
+    # "block" is the same engine with its trace tier off.
+    assert isinstance(Machine(engine="block")._engine, TieredEngine)
+    assert Machine()._engine.tracing
+    assert not Machine(engine="block")._engine.tracing
 
 
 # -- trace-cache invalidation ---------------------------------------------------
 
 def test_rollback_invalidates_traces_with_blocks():
-    """A segment rollback must drop traces formed over the rolled-back
-    region; re-extended code at the same addresses reruns correctly."""
+    """A segment rollback must drop the traces formed over the rolled-back
+    region and keep the ones below it; re-extended code at the same
+    addresses reruns correctly."""
     report.reset()
     machine = Machine(engine="tiered", tiering=HOT2)
+    engine = machine._engine
     e1 = machine.code.extend(_countdown(30))
     machine.code.link()
     machine.call(e1)
-    assert report.tiering_stats()["promotions"] >= 1
+    below = set(engine._traces)
+    assert below, "the countdown below the mark never promoted"
 
     machine.code.mark()
-    e2 = machine.code.extend(_countdown(5))
+    e2 = machine.code.extend(_countdown(5, at=machine.code.here))
     machine.code.link()
     machine.call(e2)
+    assert any(entry >= e2 for entry in engine._traces)
+    dropped = report.tiering_stats()["traces_invalidated"]
     machine.code.release()
+    assert report.tiering_stats()["traces_invalidated"] - dropped >= 1
+    assert set(engine._traces) == below  # the traces below the mark survive
 
     e3 = machine.code.extend([Instruction(Op.LI, Reg.RV, 3),
                               Instruction(Op.RET)])
     machine.code.link()
     assert e3 == e2
     assert machine.call(e3) == 3         # a stale trace here would loop
-    assert report.tiering_stats()["traces_invalidated"] >= 0
 
     # The countdown below the rollback point still runs bit-identically.
     ref = Machine(engine="reference")
@@ -450,3 +460,56 @@ def test_distrust_demotes_traces_and_profile():
     ref.code.link()
     ref.call(r1)
     assert machine.cpu.cycles - before == ref.cpu.cycles
+
+
+def _traces_formed(machine, instrs, calls):
+    entry = machine.code.extend(instrs)
+    machine.code.link()
+    for _ in range(calls):
+        machine.call(entry)
+    return sorted(machine._engine._traces)
+
+
+def test_fault_rearms_promotion():
+    """An emit fault evicts every trace together with the profile that
+    formed them, so the loop re-forms its traces afterwards instead of
+    staying on the block tier for good."""
+    report.reset()
+    machine = Machine(engine="tiered", tiering=HOT2)
+    entry = machine.code.here
+    formed = _traces_formed(machine, _countdown(50), calls=2)
+    assert formed
+
+    machine.code.inject_emit_failure(nth=99)   # fires the "fault" event
+    assert not machine._engine._traces
+    runs = report.tiering_stats()["trace_dispatches"]
+    for _ in range(2):
+        machine.call(entry)
+    assert sorted(machine._engine._traces) == formed
+    assert report.tiering_stats()["trace_dispatches"] > runs
+
+
+def test_rollback_rearms_promotion_of_reextended_code():
+    """Code re-extended over rolled-back addresses promotes exactly as it
+    would on a fresh machine: the rollback drops the profile at or past
+    the mark along with the units."""
+    machine = Machine(engine="tiered", tiering=HOT2)
+    machine.code.mark()
+    _traces_formed(machine, _countdown(50), calls=1)
+    machine.code.release()
+    reextended = _traces_formed(machine, _countdown(20), calls=2)
+    fresh = _traces_formed(Machine(engine="tiered", tiering=HOT2),
+                           _countdown(20), calls=2)
+    assert reextended == fresh
+
+
+def test_block_dispatches_count_blocks_only():
+    """Trace runs count in tiering.trace_dispatches, never as block
+    dispatches: every block dispatch is a cache hit or a compile."""
+    report.reset()
+    machine = Machine(engine="tiered", tiering=HOT2)
+    _traces_formed(machine, _countdown(300), calls=5)
+    assert report.tiering_stats()["trace_dispatches"] > 0
+    stats = report.dispatch_stats()
+    assert stats["block_cache_hits"] + stats["blocks_compiled"] == \
+        stats["block_dispatches"]

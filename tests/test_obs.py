@@ -252,7 +252,7 @@ class TestEvaluateRegistry:
         assert not status.ok
 
     def test_default_policy_on_live_traffic(self):
-        eng = Engine(workload.PROGRAM)
+        eng = Engine(workload.PROGRAM, chaos=None)
         with eng.session() as s:
             workload.replay(s, workload.generate(60))
         status = evaluate_registry(default_policy())
@@ -493,7 +493,7 @@ def _get(url):
 
 class TestObsServer:
     def test_endpoints(self):
-        eng = Engine(workload.PROGRAM)
+        eng = Engine(workload.PROGRAM, chaos=None)
         with eng.session() as s:
             workload.replay(s, workload.generate(30))
         assert attached() is eng                  # engine self-attached
@@ -544,7 +544,7 @@ class TestCli:
 
 class TestReportSlo:
     def test_live_engine_view(self):
-        eng = Engine(workload.PROGRAM)
+        eng = Engine(workload.PROGRAM, chaos=None)
         with eng.session() as s:
             workload.replay(s, workload.generate(30))
         text = report.report_slo()
@@ -605,7 +605,7 @@ class TestWorkload:
             workload.generate(10, hot=0.9, warm=0.3)
 
     def test_replay_produces_expected_paths(self):
-        eng = Engine(workload.PROGRAM)
+        eng = Engine(workload.PROGRAM, chaos=None)
         with eng.session() as s:
             outcomes = workload.replay(s, workload.generate(80))
         assert all(o.ok for o in outcomes)

@@ -222,7 +222,7 @@ class TestObservabilityPlane:
         from repro.obs.openmetrics import parse, render, validate
         from repro.serving.engine import Engine
 
-        engine = Engine(workload.PROGRAM)
+        engine = Engine(workload.PROGRAM, chaos=None)
         done = threading.Event()
         servers = THREADS // 2
         served = [0] * servers

@@ -53,7 +53,9 @@ class TestPolicy:
         assert policy.hot_threshold == 8
         assert policy.max_trace_instructions == 512
         assert policy.max_trace_blocks == 256
-        assert policy.enabled
+        # Whether the trace tier runs is the engine choice, not a field.
+        assert TieringPolicy.__slots__ == (
+            "hot_threshold", "max_trace_instructions", "max_trace_blocks")
 
     def test_threshold_must_allow_an_observed_edge(self):
         # Promotion consumes the successor edge observed on the previous
@@ -146,14 +148,24 @@ class TestPromotion:
         assert report.tiering_stats()["promotions"] == promos
 
     def test_tiering_can_be_disabled(self):
+        """engine="block" is the same engine with the trace tier off: it
+        forms no traces and writes no profile, not even into a shared
+        rollup it was handed."""
         report.reset()
-        machine = Machine(engine="tiered",
-                          tiering={"hot_threshold": 2, "enabled": False})
+        shared = SharedHotness()
+        machine = Machine(engine="block", tiering=HOT2,
+                          tiering_shared=shared)
         entry = machine.code.extend(_countdown(30))
         machine.code.link()
         machine.call(entry)
-        assert not machine._engine._traces
+        engine = machine._engine
+        assert not engine._traces
+        assert not engine._counts and not engine._succ
+        assert engine.hot_units() == []
+        engine.publish_profile()
+        assert shared.snapshot() == ({}, {})
         assert report.tiering_stats()["promotions"] == 0
+        assert report.tiering_stats()["trace_dispatches"] == 0
         assert machine.cpu.cycles == _reference_cycles(30)
 
 
@@ -217,6 +229,19 @@ class TestSharedHotness:
         cold.call(e2)
         assert report.tiering_stats()["promotions"] > promos
         assert cold.cpu.cycles == _reference_cycles(30)
+
+    def test_idle_session_publishes_nothing(self):
+        """A session publishes only what it dispatched: one that opens
+        and closes without executing leaves the rollup unchanged, rather
+        than re-adding the seed it read."""
+        eng = Engine(LOOP_SRC, chaos=None)
+        with eng.session() as s:
+            assert s.request("make_sum", (20,), call_args=(3,)).ok
+        before = eng.hotness.snapshot()
+        assert before[0]
+        for _ in range(3):
+            eng.open_session().close()
+            assert eng.hotness.snapshot() == before
 
 
 class TestHotUnits:
