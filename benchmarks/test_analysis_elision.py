@@ -1,8 +1,8 @@
 """Guard elision benchmark: Figure-4 apps with the dataflow analysis on
 vs off, under paranoid verification.
 
-Three headlines, written to ``BENCH_analysis.json`` and gated again by
-``trend.py``:
+Three headlines, each an assert here, with the results written to
+``BENCH_analysis.json``:
 
 * elision is *observationally free* — every app computes a bit-identical
   result with analysis on;

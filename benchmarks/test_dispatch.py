@@ -3,7 +3,8 @@
 Modeled target cycles are engine-independent by construction (the
 differential suite in tests/test_engines.py proves it); what the block
 engine buys is *host* wall time.  This benchmark times identical
-workloads under both engines and records:
+workloads under both engines, interleaved in one process (best-of), and
+records:
 
 * **table1-kernel** — the paper's "one large cspec, dynamic locals"
   kernel: a long straight-line body, repeatedly invoked;
@@ -20,9 +21,9 @@ hits by kind, dispatch/cache-hit rates).  The acceptance headline is a
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
+from benchmarks.conftest import interleaved_best
 from repro import report
 from repro.apps import ALL_APPS
 from repro.apps.table1 import TABLE1_ROWS
@@ -31,17 +32,6 @@ from repro.core.driver import TccCompiler
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_dispatch.json"
 
 _RESULTS: dict = {"cases": {}}
-
-
-def _best_of(call, warmup=1, rounds=3):
-    for _ in range(warmup):
-        call()
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        call()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _dispatch_summary():
@@ -70,18 +60,22 @@ def _record(case, engine_times, cycles, result_ok, counters):
 
 def test_table1_kernel_speedup():
     source = TABLE1_ROWS["one large cspec, dynamic locals"]()
-    times, cycles, results, counters = {}, {}, {}, None
+    calls, cycles, results = {}, {}, {}
+    # The reference stepper records no dispatch counters, so after one
+    # reset they are the block engine's alone.
+    report.reset()
     for engine in ("reference", "block"):
-        report.reset()
         proc = TccCompiler().compile(source).start(
             backend="icode", codecache=False, engine=engine)
         fn = proc.function(proc.run("build", 5), "i", "i")
         before = proc.machine.cpu.cycles
         results[engine] = [fn(arg) for arg in (0, 1, 9)]
         cycles[engine] = proc.machine.cpu.cycles - before
-        times[engine] = _best_of(lambda: [fn(arg) for arg in range(20)])
-        if engine == "block":
-            counters = _dispatch_summary()
+        calls[engine] = lambda fn=fn: [fn(arg) for arg in range(20)]
+    ref_s, block_s = interleaved_best(calls["reference"], calls["block"],
+                                      rounds=3, warmup=1)
+    times = {"reference": ref_s, "block": block_s}
+    counters = _dispatch_summary()
 
     assert results["block"] == results["reference"]
     assert cycles["block"] == cycles["reference"]
@@ -94,9 +88,9 @@ def test_table1_kernel_speedup():
 
 def test_blur_case_study_speedup():
     app = ALL_APPS["blur"]
-    times, cycles, results, counters = {}, {}, {}, None
+    calls, cycles, results = {}, {}, {}
+    report.reset()
     for engine in ("reference", "block"):
-        report.reset()
         proc = TccCompiler().compile(
             app.source, filename="<blur>").start(
             backend="icode", codecache=False, engine=engine)
@@ -106,10 +100,11 @@ def test_blur_case_study_speedup():
         before = proc.machine.cpu.cycles
         results[engine] = app.dyn_call(fn, ctx)
         cycles[engine] = proc.machine.cpu.cycles - before
-        times[engine] = _best_of(lambda: app.dyn_call(fn, ctx),
-                                 warmup=0, rounds=2)
-        if engine == "block":
-            counters = _dispatch_summary()
+        calls[engine] = lambda fn=fn, ctx=ctx: app.dyn_call(fn, ctx)
+    ref_s, block_s = interleaved_best(calls["reference"], calls["block"],
+                                      rounds=2)
+    times = {"reference": ref_s, "block": block_s}
+    counters = _dispatch_summary()
 
     assert results["block"] == results["reference"]
     assert cycles["block"] == cycles["reference"]

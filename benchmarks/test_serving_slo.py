@@ -13,7 +13,7 @@ workload with SLO tracking + flight recorder + exemplars on vs
 constructed off.  The observability overhead must stay within
 :data:`OVERHEAD_CEILING` of the bare engine.
 
-Results go to ``BENCH_serving.json`` (gated by ``benchmarks/trend.py``).
+Results go to ``BENCH_serving.json``.
 """
 
 from __future__ import annotations

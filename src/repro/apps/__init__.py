@@ -9,7 +9,7 @@ below is what the benchmark harness iterates over.
 """
 
 from repro.apps.base import App, MeasureResult
-from repro.apps.harness import measure, measure_all, crossover_point
+from repro.apps.harness import measure
 from repro.apps import (
     hash_app,
     ms_app,
@@ -48,5 +48,4 @@ ALL_APPS = {
 #: The eleven benchmarks of Figure 4/5 (blur is the separate case study).
 FIGURE4_APPS = [n for n in ALL_APPS if n != "blur"]
 
-__all__ = ["App", "MeasureResult", "ALL_APPS", "FIGURE4_APPS", "measure",
-           "measure_all", "crossover_point"]
+__all__ = ["App", "MeasureResult", "ALL_APPS", "FIGURE4_APPS", "measure"]

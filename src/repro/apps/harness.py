@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.apps.base import App, MeasureResult
 from repro.core.driver import TccCompiler
+from repro.telemetry.trace import Tracer
 
 _PROGRAM_CACHE: dict = {}
 
@@ -98,31 +99,21 @@ def _matches(value, expected) -> bool:
     return value == expected
 
 
-def measure_all(apps, configurations=None):
-    """Measure every app under the paper's four Figure-4 series.
-
-    ``configurations`` defaults to [(backend, static_opt)] pairs
-    (icode, lcc), (icode, gcc), (vcode, lcc), (vcode, gcc).
-    Returns {app_name: {series_name: MeasureResult}}.
-    """
-    if configurations is None:
-        configurations = [
-            ("icode", "lcc"),
-            ("icode", "gcc"),
-            ("vcode", "lcc"),
-            ("vcode", "gcc"),
-        ]
-    out = {}
-    for app in apps:
-        series = {}
-        for backend, static_opt in configurations:
-            name = f"{backend}-{static_opt}"
-            series[name] = measure(app, backend=backend,
-                                   static_opt=static_opt)
-        out[app.name] = series
-    return out
-
-
-def crossover_point(result: MeasureResult):
-    """Convenience alias for Figure 5."""
-    return result.crossover
+def run_traced(app: App, backend: str = "icode", regalloc: str = "linear",
+               telemetry: str = "on", codecache: bool = False):
+    """Compile and run ``app`` once under one tracer that covers its
+    whole lifecycle: static compile, specification, instantiation and
+    execution.  Returns the tracer.  Unlike ``measure(telemetry=...)``,
+    which traces only the dynamic side, this is the trace behind
+    ``python -m repro.report trace``."""
+    tracer = Tracer(telemetry)
+    prog = TccCompiler(tracer=tracer).compile(app.source,
+                                              filename=f"<{app.name}>")
+    proc = prog.start(backend=backend, regalloc=regalloc, tracer=tracer,
+                      codecache=codecache)
+    ctx = app.setup(proc)
+    entry = proc.run(app.builder, *app.builder_args(ctx))
+    fn = proc.function(entry, app.dyn_signature, app.dyn_returns,
+                       name=app.name)
+    app.dyn_call(fn, ctx)
+    return tracer

@@ -171,7 +171,6 @@ class CompiledProgram:
         ``regalloc``      "linear" or "color" (ICODE only; default linear)
         ``static_opt``    "lcc" or "gcc" (default "lcc")
         ``allow_spills``  VCODE getreg spilling (default True)
-        ``optimize_dynamic_ir``  run the IR optimizer on dynamic code too
         ``reorder_cspec_operands``  tcc's 5.1 heuristic (default True)
         ``compile_static``  compile pure-C functions at start (default True)
         ``fallback``      retry failed ICODE installs on VCODE (default True)
@@ -493,9 +492,7 @@ class Process:
             )
         return IcodeBackend(
             self.machine, self.cost, regalloc=self.regalloc,
-            optimize_ir=self.options.get("optimize_dynamic_ir", True),
-            use_peephole=self.options.get("dynamic_peephole", True),
-            verify=self.verify, analysis=self.analysis,
+            optimize_ir=True, verify=self.verify, analysis=self.analysis,
         )
 
     def compile_closure(self, closure, ret_type) -> int:
@@ -643,11 +640,8 @@ class Process:
             (backend_kind or self.backend_kind).value,
             self.regalloc,
             bool(opts.get("allow_spills", True)),
-            bool(opts.get("optimize_dynamic_ir", True)),
-            bool(opts.get("dynamic_peephole", True)),
             bool(opts.get("strength_reduction", True)),
             bool(opts.get("dynamic_unrolling", True)),
-            opts.get("max_unroll"),
             bool(opts.get("reorder_cspec_operands", True)),
             bool(self.analysis),
             str(ret_type),

@@ -145,7 +145,6 @@ class EmitCtx:
         self.emit_env: dict = {}       # id(decl) -> int (derived RTC values)
         self.rtconst_values: dict = {} # id(decl) -> captured $ value
         self.dollar_values: dict = {}  # slot -> spec-time $ value
-        self.max_unroll = self.options.get("max_unroll", _MAX_UNROLL)
         self.recorder = None           # codecache PatchRecorder, when caching
 
     def child(self) -> "EmitCtx":
@@ -1298,9 +1297,9 @@ class CodeGen:
             if not _compare(relop, value, bound):
                 break
             iterations += 1
-            if iterations > ctx.max_unroll:
+            if iterations > _MAX_UNROLL:
                 raise CodegenError(
-                    f"dynamic unrolling exceeded {ctx.max_unroll} iterations"
+                    f"dynamic unrolling exceeded {_MAX_UNROLL} iterations"
                 )
             ctx.emit_env[id(decl)] = value
             self.gen_stmt(node.body)

@@ -34,7 +34,7 @@ import weakref
 from repro import report as _report
 from repro.obs.flightrec import FlightRecorder, RequestRecord
 from repro.obs.openmetrics import CONTENT_TYPE, parse, render, validate
-from repro.obs.server import ObsServer, attach, attached
+from repro.obs.server import ObsServer, attach, attached, slo_status
 from repro.obs.slo import (
     SloEngine,
     SloObjective,
@@ -49,7 +49,7 @@ __all__ = [
     "default_policy", "evaluate_registry",
     "FlightRecorder", "RequestRecord",
     "render", "parse", "validate", "CONTENT_TYPE",
-    "ObsServer", "attach", "attached",
+    "ObsServer", "attach", "attached", "slo_status",
 ]
 
 #: Live SLO engines and flight recorders, tracked weakly so

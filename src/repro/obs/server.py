@@ -10,9 +10,9 @@ third-party dependency — and serves:
 ``/healthz``
     ``200 ok`` while the process is up (a fleet's liveness probe);
 ``/slo``
-    JSON :class:`~repro.obs.slo.SloStatus` — the attached engine's live
-    streaming status when one is attached, else the default policy
-    evaluated from the registry's histograms;
+    JSON :class:`~repro.obs.slo.SloStatus` from :func:`slo_status` — the
+    attached engine's live streaming status when one is attached, else
+    the default policy evaluated from the registry's histograms;
 ``/blackbox``
     JSON flight-recorder bundle of the attached engine (404 when no
     recorder is attached).
@@ -52,6 +52,18 @@ def attached():
     return ref() if ref is not None else None
 
 
+def slo_status(registry=None):
+    """The SLO status behind ``/slo`` and ``report slo``: the attached
+    engine's live status when it has an SLO engine, else the default
+    policy evaluated from ``registry``'s histograms.  Returns
+    ``(status, source)``, ``source`` naming where the status came from."""
+    slo = getattr(attached(), "slo", None)
+    if slo is not None:
+        return slo.status(), f"live engine ({slo.policy.name} policy)"
+    return (evaluate_registry(default_policy(), registry),
+            "registry histograms (default policy)")
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-obs/1.0"
 
@@ -63,13 +75,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif path == "/healthz":
             self._reply(200, "ok\n", "text/plain; charset=utf-8")
         elif path == "/slo":
-            engine = attached()
-            slo = getattr(engine, "slo", None) if engine else None
-            if slo is not None:
-                status = slo.status()
-            else:
-                status = evaluate_registry(default_policy(),
-                                           self.server.registry)
+            status, _ = slo_status(self.server.registry)
             self._json(200, status.to_dict())
         elif path == "/blackbox":
             engine = attached()

@@ -11,7 +11,7 @@ Three pieces (see docs/INTERNALS.md, "Telemetry"):
   fallbacks) on a modeled-cycles clock, with correlation ids tying a
   specialization to its installed code;
 * :mod:`repro.telemetry.export` — JSONL, Chrome trace-event/Perfetto
-  JSON, and a terminal summary; ``python -m repro.telemetry`` drives
+  JSON, and a terminal summary; ``python -m repro.report trace`` drives
   them from the command line.
 
 The knob: ``telemetry="off" | "on" | "sample:N"`` on

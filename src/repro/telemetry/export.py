@@ -78,11 +78,6 @@ def write_chrome_trace(source, path, title: str = "tcc repro") -> None:
         json.dump(chrome_trace(source, title), fh, indent=1, default=repr)
 
 
-def write_jsonl(source, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_jsonl(source))
-
-
 def summary(source, registry=None) -> str:
     """A terminal summary: spans grouped by category, then key metrics."""
     registry = registry if registry is not None else REGISTRY

@@ -29,7 +29,8 @@ Span taxonomy (``cat`` -> names):
 ``exec``    ``exec:<fn>`` — one call into installed code (``trap`` arg
             on a machine fault)
 ``verify``  ``verify:<layer>`` instants (wall time in args)
-``event``   everything else (fallbacks, superblock compiles, ...)
+``event``   everything else (fallbacks, superblock compiles, trace
+            promotions, ...)
 ==========  ==========================================================
 
 Sampling: mode ``"on"`` traces everything, ``"sample:N"`` keeps every

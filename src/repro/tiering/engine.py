@@ -208,7 +208,7 @@ class TieredEngine:
         tracer = self.machine.tracer
         span = None
         if tracer is not None and tracer.enabled:
-            span = tracer.begin("promote", cat="compile", entry=entry)
+            span = tracer.begin("promote", cat="event", entry=entry)
         try:
             form = form_trace(segment.instructions, entry, self._succ,
                               horizon, self.policy)

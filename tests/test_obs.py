@@ -12,6 +12,7 @@ import urllib.request
 import pytest
 
 from repro import Engine, report
+from repro.report import __main__ as report_cli
 from repro.icode.backend import IcodeBackend
 from repro.errors import CodegenError
 from repro.obs import workload
@@ -21,7 +22,7 @@ from repro.obs.flightrec import (
     FlightRecorder,
 )
 from repro.obs.openmetrics import CONTENT_TYPE, parse, render, validate
-from repro.obs.server import ObsServer, attach, attached
+from repro.obs.server import ObsServer, attach, attached, slo_status
 from repro.obs.slo import (
     EXHAUSTED_RUNG,
     PAGE_RUNG,
@@ -542,23 +543,48 @@ class TestCli:
 
 # -- report integration and reset ---------------------------------------------
 
+class TestSloStatus:
+    """``slo_status`` is the one status behind ``/slo`` and ``report
+    slo``: the attached engine's live view, else the registry's."""
+
+    def test_attached_engine_is_the_source(self):
+        eng = Engine(workload.PROGRAM, chaos=None)
+        with eng.session() as s:
+            workload.replay(s, workload.generate(30))
+        status, source = slo_status()
+        assert source == f"live engine ({eng.slo.policy.name} policy)"
+        assert status.to_dict() == eng.slo.status().to_dict()
+        assert status.observed == 30
+
+    def test_registry_fallback_reads_the_given_registry(self):
+        attach(None)
+        reg = MetricsRegistry()
+        reg.counter("serving.requests").inc(20)
+        reg.counter("serving.failed").inc(20)
+        status, source = slo_status(reg)
+        assert source == "registry histograms (default policy)"
+        assert status.to_dict() == \
+            evaluate_registry(default_policy(), reg).to_dict()
+        assert status.exhausted == ("availability",)
+
+
 class TestReportSlo:
     def test_live_engine_view(self):
         eng = Engine(workload.PROGRAM, chaos=None)
         with eng.session() as s:
             workload.replay(s, workload.generate(30))
-        text = report.report_slo()
+        text = report_cli.report_slo()
         assert "live engine" in text
         assert "verdict: OK" in text
         assert "availability" in text
 
     def test_registry_fallback_view(self):
         attach(None)
-        text = report.report_slo()
+        text = report_cli.report_slo()
         assert "registry histograms" in text
 
     def test_cli_subcommand(self, capsys):
-        assert report.main(["slo"]) == 0
+        assert report_cli.main(["slo"]) == 0
         assert "burn" in capsys.readouterr().out
 
 

@@ -4,30 +4,31 @@ expensive figures are exercised by benchmarks/)."""
 import pytest
 
 from repro import report
+from repro.report import __main__ as report_cli
 from repro.target.cpu import Machine
 from repro.target.isa import Instruction, Op, Reg
 
 
 def test_usedops_report_renders():
-    text = report.report_usedops()
+    text = report_cli.report_usedops()
     assert "pruned" in text
     for name in ("hash", "dp", "blur"):
         assert name in text
 
 
 def test_table1_report_renders():
-    text = report.report_table1()
+    text = report_cli.report_table1()
     assert "one large cspec, dynamic locals" in text
     assert "VCODE" in text and "ICODE" in text
 
 
 def test_main_rejects_unknown_report(capsys):
-    assert report.main(["nonsense"]) == 1
+    assert report_cli.main(["nonsense"]) == 1
     assert "Usage" in capsys.readouterr().out or True
 
 
 def test_main_runs_named_report(capsys):
-    assert report.main(["usedops"]) == 0
+    assert report_cli.main(["usedops"]) == 0
     out = capsys.readouterr().out
     assert "reduction" in out or "pruned" in out
 

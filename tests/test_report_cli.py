@@ -1,16 +1,24 @@
 """Coverage for the ``python -m repro.report`` CLI: every subcommand,
-``all``, and the bad-argument exit path.
+``all``, ``trace`` and its flags, and the bad-argument exit paths.
 
 The expensive measurement machinery is monkeypatched with canned
 :class:`MeasureResult` objects so the whole matrix runs in milliseconds;
 the real figures are exercised by benchmarks/.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import report
 from repro.apps.base import MeasureResult
+from repro.report import __main__ as cli
 from repro.telemetry.trace import Tracer
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _fake_result(app_name="hash", backend="icode", static_opt="lcc"):
@@ -53,10 +61,13 @@ def cheap_reports(monkeypatch):
         lambda app, **kw: _fake_result(app.name, kw.get("backend", "icode"),
                                        kw.get("static_opt", "lcc")))
     monkeypatch.setattr(
-        report, "_series_results",
+        "repro.apps.harness.run_traced",
+        lambda app, **kw: _fake_result(app.name).tracer)
+    monkeypatch.setattr(
+        cli, "_series_results",
         lambda names: {
             name: {f"{b}-{s}": _fake_result(name, b, s)
-                   for b, s in report.SERIES}
+                   for b, s in cli.SERIES}
             for name in names
         })
     monkeypatch.setattr(
@@ -82,18 +93,18 @@ class TestEverySubcommand:
         ("fig7", "linear scan (LS) vs graph"),
         ("blur", "xv Blur case study"),
         ("usedops", "ICODE-emitter pruning"),
-        ("telemetry", "Telemetry summary"),
+        ("trace", "Telemetry summary"),
         ("hot", "Hottest execution units"),
         ("cache", "Code cache"),
         ("analysis", "Static analysis"),
         ("slo", "Serving SLOs"),
     ])
     def test_subcommand_exits_zero_and_renders(self, capsys, name, marker):
-        assert report.main([name]) == 0
+        assert cli.main([name]) == 0
         assert marker in capsys.readouterr().out
 
     def test_all_concatenates_every_report(self, capsys):
-        assert report.main(["all"]) == 0
+        assert cli.main(["all"]) == 0
         out = capsys.readouterr().out
         for marker in ("Table 1", "Figure 4", "Figure 5", "Figure 6",
                        "Figure 7", "Blur", "pruning", "Telemetry",
@@ -102,24 +113,35 @@ class TestEverySubcommand:
 
     def test_fig5_renders_dash_when_never_amortized(self, capsys):
         results = {"hash": {f"{b}-{s}": _fake_result("hash", b, s)
-                            for b, s in report.SERIES}}
+                            for b, s in cli.SERIES}}
         for row in results["hash"].values():
             row.static_cycles = row.dynamic_cycles  # gain <= 0
-        text = report.report_fig5(results)
+        text = cli.report_fig5(results)
         assert "-" in text.splitlines()[-1]
 
 
 class TestBadArguments:
     @pytest.mark.parametrize("argv", [[], ["nonsense"], ["fig99"]])
     def test_unknown_subcommand_prints_usage_and_fails(self, capsys, argv):
-        assert report.main(argv) == 1
+        assert cli.main(argv) == 1
         assert "python -m repro.report" in capsys.readouterr().out
 
     def test_registry_of_reports_matches_cli(self):
-        assert set(report.REPORTS) == {
+        assert set(cli.REPORTS) == {
             "table1", "fig4", "fig5", "fig6", "fig7", "blur", "usedops",
-            "telemetry", "hot", "cache", "analysis", "slo",
+            "trace", "hot", "cache", "analysis", "slo",
         }
+
+    def test_slo_runs_without_a_second_copy_of_the_module(self):
+        """``python -m repro.report`` must not find its own module
+        already imported (runpy's RuntimeWarning, an error here)."""
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.report", "slo"],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Serving SLOs" in proc.stdout
 
 
 class TestCacheReport:
@@ -139,7 +161,7 @@ class TestCacheReport:
         proc.run("make_adder", 10)
         proc.run("make_adder", 10)   # Tier-1 memo hit
         proc.run("make_adder", 20)   # Tier-2 clone+patch
-        assert report.main(["cache"]) == 0
+        assert cli.main(["cache"]) == 0
         out = capsys.readouterr().out
         assert "Code cache" in out
         assert "1 memo hits" in out
@@ -153,14 +175,14 @@ class TestCacheReport:
         proc = TccCompiler().compile(self.SOURCE).start()
         proc.run("make_adder", 10)
         proc.codecache.flush()
-        assert report.main(["cache"]) == 0
+        assert cli.main(["cache"]) == 0
         out = capsys.readouterr().out
         assert f"disk dir {tmp_path}: 1 entries" in out
 
 
 class TestHotReport:
     def test_hot_report_ranks_traces(self, cheap_reports, capsys):
-        assert report.main(["hot"]) == 0
+        assert cli.main(["hot"]) == 0
         out = capsys.readouterr().out
         assert "trace" in out and "block" in out
         # The trace row (more dispatches) must be ranked first.
@@ -174,5 +196,42 @@ class TestHotReport:
         empty.hot_profile = None
         monkeypatch.setattr("repro.apps.harness.measure",
                             lambda app, **kw: empty)
-        assert report.main(["hot"]) == 0
+        assert cli.main(["hot"]) == 0
         assert "no units dispatched" in capsys.readouterr().out
+
+
+class TestTraceCli:
+    """``report trace`` on a real app: one tracer over the whole
+    lifecycle, in each output format."""
+
+    def test_summary_to_stdout(self, capsys):
+        assert cli.main(["trace", "pow"]) == 0
+        out = capsys.readouterr().out
+        assert "Telemetry summary" in out
+        # One compile() in pow: one compile span, static side included.
+        rows = {line.split()[0]: line.split()[1:]
+                for line in out.splitlines() if line.strip()}
+        assert rows["compile"][0] == "1"
+        assert int(rows["static"][0]) > 0
+
+    def test_chrome_output_file(self, tmp_path, capsys):
+        path = tmp_path / "pow.json"
+        assert cli.main(["trace", "pow", "-f", "chrome",
+                         "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert doc["otherData"]["clock"] == "modeled cycles"
+        assert any(e.get("ph") == "X" for e in doc["traceEvents"])
+        assert f"to {path}" in capsys.readouterr().out
+
+    def test_jsonl_output_file(self, tmp_path, capsys):
+        path = tmp_path / "pow.jsonl"
+        assert cli.main(["trace", "pow", "-f", "jsonl",
+                         "-o", str(path)]) == 0
+        lines = path.read_text().strip().splitlines()
+        assert all(json.loads(line) for line in lines)
+
+    def test_list_and_unknown_app(self, capsys):
+        assert cli.main(["trace", "--list"]) == 0
+        assert "blur" in capsys.readouterr().out
+        assert cli.main(["trace", "nonsense"]) == 1
+        assert "unknown app" in capsys.readouterr().err

@@ -355,6 +355,18 @@ class TestLifecycleTrace:
         text = export.summary(blur.tracer)
         assert "compile" in text and "timeline" in text
 
+    def test_tiered_promotions_are_events_not_compiles(self):
+        """The trace tier's promotions are ``event`` spans, so blur on
+        the tiered engine still shows one compile span, tiled by its
+        phase children."""
+        result = measure(ALL_APPS["blur"], backend="icode",
+                         engine="tiered", telemetry="on")
+        spans = result.tracer.spans
+        assert any(s.name == "promote" and s.cat == "event" for s in spans)
+        (c,) = [s for s in spans if s.cat == "compile"]
+        kids = [s for s in spans if s.cat == "phase" and s.parent == c.sid]
+        assert sum(k.dur for k in kids) == c.dur == result.codegen_cycles
+
 
 class TestKnobPlumbing:
     SRC = """
@@ -402,37 +414,3 @@ class TestKnobPlumbing:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             compile_c(self.SRC, telemetry="loud")
-
-
-class TestTelemetryCli:
-    def test_summary_to_stdout(self, capsys):
-        from repro.telemetry.__main__ import main
-
-        assert main(["pow"]) == 0
-        out = capsys.readouterr().out
-        assert "Telemetry summary" in out and "compile" in out
-
-    def test_chrome_output_file(self, tmp_path, capsys):
-        from repro.telemetry.__main__ import main
-
-        path = tmp_path / "pow.json"
-        assert main(["pow", "-f", "chrome", "-o", str(path)]) == 0
-        doc = json.loads(path.read_text())
-        assert doc["otherData"]["clock"] == "modeled cycles"
-        assert any(e.get("ph") == "X" for e in doc["traceEvents"])
-
-    def test_jsonl_output_file(self, tmp_path, capsys):
-        from repro.telemetry.__main__ import main
-
-        path = tmp_path / "pow.jsonl"
-        assert main(["pow", "-f", "jsonl", "-o", str(path)]) == 0
-        lines = path.read_text().strip().splitlines()
-        assert all(json.loads(line) for line in lines)
-
-    def test_list_and_unknown_app(self, capsys):
-        from repro.telemetry.__main__ import main
-
-        assert main(["--list"]) == 0
-        assert "blur" in capsys.readouterr().out
-        assert main(["nonsense"]) == 1
-        assert "unknown app" in capsys.readouterr().err
