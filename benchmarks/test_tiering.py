@@ -4,10 +4,10 @@ dispatch.
 Modeled target cycles are engine-independent by construction (the
 differential suite in tests/test_engines.py proves bit-identity through
 mid-run promotions and deopts); what the trace tier buys is *host* wall
-time: hot superblocks are linked into straight-line traces, fusion re-runs
-across the widened window, per-seam cache probes and watchdog checks are
-paid once per trace entry, and the trace compiler spends extra budget
-inlining the wrap32 arithmetic and the memory fast paths.
+time: hot superblocks are linked into straight-line traces, per-seam
+cache probes and watchdog checks are paid once per trace entry, and the
+trace compiler spends extra budget inlining the wrap32 arithmetic and
+the memory fast paths.
 
 Timing methodology: block and tiered run *interleaved* within one
 process (best-of-``ROUNDS``), with per-app repeat counts sized so each

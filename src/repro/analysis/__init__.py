@@ -8,8 +8,6 @@ from repro.analysis.usedops import (
     UsedOpsReport,
     collect_used_ops,
     emitter_size_estimate,
-    fusable_kinds,
-    prune_report,
 )
 
 #: Environment variable consulted when no explicit ``analysis=`` option
@@ -35,7 +33,5 @@ __all__ = [
     "UsedOpsReport",
     "collect_used_ops",
     "emitter_size_estimate",
-    "fusable_kinds",
-    "prune_report",
     "resolve_analysis",
 ]

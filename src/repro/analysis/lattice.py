@@ -82,11 +82,6 @@ class AbstractValue:
 
     # -- predicates ------------------------------------------------------
 
-    def is_top(self) -> bool:
-        return (self.lo == INT_MIN and self.hi == INT_MAX
-                and self.align == 1 and not self.nonzero
-                and self.region is None)
-
     def is_const(self) -> bool:
         return self.lo == self.hi
 

@@ -29,37 +29,9 @@ _BASELINE_OPS = frozenset({
 #: the order of 100 instructions" per ICODE instruction).
 TRANSLATOR_CASE_SIZE = 100
 
-#: Footprint of one *fused* superinstruction case.  The superblock
-#: generator (:mod:`repro.target.dispatch`) translates fusable pairs with a
-#: dedicated combined case; it shares the operand plumbing of its two
-#: constituent cases, so it is modeled smaller than a full case.
-FUSED_CASE_SIZE = 60
-
 #: ICODE's full instruction set size ("several hundred instructions").
 FULL_ISA_SIZE = len(Op)
 
-
-def fusable_kinds(used_ops) -> tuple:
-    """The superinstruction kinds this opcode set can trigger.
-
-    A fused case only ends up in the translator when both halves of the
-    pair can appear: the historical scan ignored fusion entirely, which
-    under-counted the pruned translator for every program that fuses
-    (and over-counted the full one never by less than all four kinds).
-    """
-    from repro.target.dispatch import FUSION_PAIRS
-
-    used = frozenset(used_ops)
-    return tuple(sorted(
-        kind for kind, (first, second) in FUSION_PAIRS.items()
-        if used & first and used & second
-    ))
-
-
-def _all_fusion_kinds() -> int:
-    from repro.target.dispatch import FUSION_PAIRS
-
-    return len(FUSION_PAIRS)
 
 _INT_BINOP_OPS = {
     "+": (Op.ADD, Op.ADDI),
@@ -100,7 +72,6 @@ class UsedOpsReport:
 
     def __init__(self, used_ops):
         self.used_ops = frozenset(used_ops)
-        self.fusion_kinds = fusable_kinds(self.used_ops)
 
     @property
     def used_count(self) -> int:
@@ -108,13 +79,11 @@ class UsedOpsReport:
 
     @property
     def full_size(self) -> int:
-        return (FULL_ISA_SIZE * TRANSLATOR_CASE_SIZE
-                + _all_fusion_kinds() * FUSED_CASE_SIZE)
+        return FULL_ISA_SIZE * TRANSLATOR_CASE_SIZE
 
     @property
     def pruned_size(self) -> int:
-        return (self.used_count * TRANSLATOR_CASE_SIZE
-                + len(self.fusion_kinds) * FUSED_CASE_SIZE)
+        return self.used_count * TRANSLATOR_CASE_SIZE
 
     @property
     def reduction_factor(self) -> float:
@@ -123,7 +92,6 @@ class UsedOpsReport:
     def __repr__(self) -> str:
         return (
             f"<UsedOpsReport {self.used_count}/{FULL_ISA_SIZE} opcodes, "
-            f"{len(self.fusion_kinds)} fused cases, "
             f"{self.reduction_factor:.1f}x smaller translator>"
         )
 
@@ -211,11 +179,5 @@ def emitter_size_estimate(report: UsedOpsReport) -> dict:
     return {
         "full": report.full_size,
         "pruned": report.pruned_size,
-        "fusion_kinds": list(report.fusion_kinds),
         "reduction_factor": report.reduction_factor,
     }
-
-
-def prune_report(programs) -> list:
-    """Reports for a collection of compiled programs."""
-    return [collect_used_ops(p) for p in programs]

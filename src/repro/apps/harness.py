@@ -29,10 +29,6 @@ def _program(app: App):
     return prog
 
 
-def clear_cache() -> None:
-    _PROGRAM_CACHE.clear()
-
-
 def measure(app: App, backend: str = "icode", regalloc: str = "linear",
             static_opt: str = "lcc", engine: str = "block",
             telemetry: str = "off", **extra_options) -> MeasureResult:

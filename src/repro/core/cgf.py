@@ -17,7 +17,6 @@ from repro.core.lowering import CodeGen, CspecBinding, MemLV, RegVal, \
     VspecBinding, cls_of, width_of
 from repro.errors import RuntimeTccError
 from repro.frontend import cast
-from repro.frontend import typesys as T
 from repro.runtime.closures import CaptureKind
 from repro.runtime.costmodel import Phase
 
@@ -33,10 +32,6 @@ class CGF:
     def __init__(self, tick: cast.Tick, fn_name: str = "?"):
         self.tick = tick
         self.label = f"cgf_{fn_name}_{tick.tick_id}"
-
-    @property
-    def eval_type(self) -> T.CType:
-        return self.tick.eval_type
 
     def emit_into(self, parent_ctx, closure):
         """Emit this tick's code into the back end of ``parent_ctx``.
@@ -107,16 +102,6 @@ class CGF:
     def __repr__(self) -> str:
         return f"<CGF {self.label}>"
 
-    def describe(self) -> str:
-        """A human-readable sketch of this CGF (used by docs and tests)."""
-        caps = ", ".join(
-            f"{c.kind.value}:{c.decl.name}" for c in self.tick.captures.values()
-        )
-        return (
-            f"CGF {self.label}: eval {self.tick.eval_type}, "
-            f"captures [{caps}], {len(self.tick.dollars)} $-slots"
-        )
-
 
 class DynLabel:
     """A run-time-created label, shared between its mark and its jumps."""
@@ -136,7 +121,6 @@ class LabelCGF:
     """CGF behind ``make_label()``: composing the cspec marks the spot."""
 
     label = "cgf_label"
-    eval_type = T.VOID
 
     def emit_into(self, parent_ctx, closure):
         target = parent_ctx.backend.dyn_label(closure.slots["label"])
@@ -148,7 +132,6 @@ class JumpCGF:
     """CGF behind ``jump(l)``: composing the cspec emits the jump."""
 
     label = "cgf_jump"
-    eval_type = T.VOID
 
     def emit_into(self, parent_ctx, closure):
         target = parent_ctx.backend.dyn_label(closure.slots["label"])
@@ -166,7 +149,6 @@ class ApplyCGF:
     """
 
     label = "cgf_apply"
-    eval_type = T.INT
 
     def emit_into(self, parent_ctx, closure):
         from repro.core.lowering import CodeGen

@@ -325,17 +325,18 @@ class CacheEntry:
         self.cold_cycles = cold_cycles
 
 
-def _body_checksum(instructions) -> int:
-    """Order-sensitive hash of an instruction body (opcode + operands).
+def _body_rows(instructions) -> tuple:
+    """An instruction body as immutable ``(op, a, b, c)`` rows.
 
-    Captured when a template is stored and re-verified before every
-    clone, so tampering with the shared template store (cache poisoning)
-    is detected *before* the corrupt body is copied into a session's code
+    A template's checksum is the hash of these rows.  It is captured
+    when the template is stored and re-verified before every clone, so
+    tampering with the shared template store (cache poisoning) is
+    detected *before* the corrupt body is copied into a session's code
     segment — non-hole operands are indistinguishable from ordinary
     immediates once installed, so the install-time audit alone cannot
     catch them.
     """
-    return hash(tuple((i.op, i.a, i.b, i.c) for i in instructions))
+    return tuple((i.op, i.a, i.b, i.c) for i in instructions)
 
 
 class CodeTemplate:
@@ -365,7 +366,7 @@ class CodeTemplate:
         self.facts = list(recorder.facts)
         self.cold_cycles = cold_cycles
         self.callees = recorder.callee_bindings
-        self.checksum = _body_checksum(self.instructions)
+        self.checksum = hash(_body_rows(self.instructions))
 
     @classmethod
     def restore(cls, *, values, patchable, holes, relocs, instructions,
@@ -393,12 +394,17 @@ class CodeTemplate:
         self.facts = [tuple(fact) for fact in facts]
         self.cold_cycles = cold_cycles
         self.callees = tuple(callees)
-        self.checksum = _body_checksum(self.instructions)
+        self.checksum = hash(_body_rows(self.instructions))
         return self
 
-    def verify_integrity(self) -> bool:
-        """True when the body still hashes to the stored checksum."""
-        return _body_checksum(self.instructions) == self.checksum
+    def checked_body(self):
+        """The body as ``(op, a, b, c)`` rows, read once, when they
+        still hash to the stored checksum; None when they do not (the
+        body was tampered with).  Clone and audit both read these rows,
+        never the live ``instructions``, so a tamper that lands after
+        this check reaches neither."""
+        body = _body_rows(self.instructions)
+        return body if hash(body) == self.checksum else None
 
     def links_into(self, segment) -> bool:
         """True when every callee symbol this body calls resolves to the
@@ -502,14 +508,26 @@ class CodeCache:
             return entry
 
     def match_template(self, signature, memory, segment=None):
-        """Tier-2 probe, answered by the store: a same-shape template
-        whose non-hole values all match, whose guards still hold, and
-        whose body passes its integrity checksum (see
-        :meth:`TemplateStore.match`, which also evicts poisoned templates
-        and falls back to the disk tier)."""
+        """Tier-2 probe: ``(template, body)`` or None.
+
+        The store answers with a same-shape template whose non-hole
+        values all match and whose guards still hold (see
+        :meth:`TemplateStore.match`, which falls back to the disk tier).
+        Its body is then read once and checked against the integrity
+        checksum; ``body`` is that checked copy, the only one the clone
+        and its audit may read.  A template failing the checksum is
+        evicted (cache poisoning), counted, and the probe misses, so the
+        request compiles cold."""
         if not self.templates_enabled:
             return None
-        return self.template_store.match(signature, memory, segment)
+        template = self.template_store.match(signature, memory, segment)
+        if template is None:
+            return None
+        body = template.checked_body()
+        if body is None:
+            self.template_store.evict_poisoned(signature.shape_key, template)
+            return None
+        return template, body
 
     # -- stores -----------------------------------------------------------
 
@@ -571,9 +589,11 @@ class CodeCache:
 
     # -- Tier-2 instantiation ---------------------------------------------
 
-    def instantiate_template(self, template, signature, machine, cost):
-        """Clone a template at the current segment cursor, patching holes
-        and relocating label operands.  Emits through ``segment.emit`` so
+    def instantiate_template(self, template, body, signature, machine,
+                             cost):
+        """Clone a template's checked ``body`` (see :meth:`match_template`)
+        at the current segment cursor, patching holes and relocating
+        label operands.  Emits through ``segment.emit`` so
         capacity checks and fault injection behave exactly as they would
         for a cold compile; the caller wraps this in mark()/release().
 
@@ -595,8 +615,8 @@ class CodeCache:
                                                   (org, scl, add, is_float)))
         values = signature.values
         clone = []
-        for rel, src in enumerate(template.instructions):
-            ops = {"a": src.a, "b": src.b, "c": src.c}
+        for rel, (op, a, b, c) in enumerate(body):
+            ops = {"a": a, "b": b, "c": c}
             for field, hole in patch_map.get(rel, ()):
                 if hole is None:
                     ops[field] = ops[field] + delta
@@ -607,7 +627,7 @@ class CodeCache:
                         ops[field] = float(raw)
                     else:
                         ops[field] = wrap32(int(raw) * scl + add)
-            clone.append(Instruction(src.op, ops["a"], ops["b"], ops["c"]))
+            clone.append(Instruction(op, ops["a"], ops["b"], ops["c"]))
         facts = [tuple(fact) for fact in template.facts]
         if facts:
             facts = self._revalidate_clone(clone, new_entry, facts,
@@ -615,12 +635,12 @@ class CodeCache:
         self.last_clone_facts = facts
         for instr in clone:
             segment.emit(instr)
-        cost.charge(Phase.PATCH, "copy_instr", len(template.instructions))
+        cost.charge(Phase.PATCH, "copy_instr", len(body))
         if template.holes:
             cost.charge(Phase.PATCH, "hole", len(template.holes))
         if template.guards:
             cost.charge(Phase.PATCH, "guard", len(template.guards))
-        cost.note_instruction(len(template.instructions))
+        cost.note_instruction(len(body))
         return new_entry
 
     @staticmethod

@@ -754,21 +754,21 @@ class Process:
             return hit.entry
         if not use_templates:
             return None
-        template = cache.match_template(signature, memory,
-                                        self.machine.code)
-        if template is None:
+        found = cache.match_template(signature, memory, self.machine.code)
+        if found is None:
             return None
+        template, body = found
         machine = self.machine
         machine.code.mark()
         try:
-            entry = cache.instantiate_template(template, signature, machine,
-                                               self.cost)
+            entry = cache.instantiate_template(template, body, signature,
+                                               machine, self.cost)
             machine.code.link()
             # The template audit always runs: it is the publish gate that
             # keeps a partially emitted / mis-patched clone from becoming
             # callable, independent of the verify mode.
-            codeaudit.run_template(machine, template, signature, entry,
-                                   where=f"template@{entry}")
+            codeaudit.run_template(machine, template, body, signature,
+                                   entry, where=f"template@{entry}")
             if self.verify != "off":
                 codeaudit.run_range(machine, entry, machine.code.here,
                                     where=f"template@{entry}")

@@ -83,25 +83,21 @@ def cache_stats() -> dict:
 
 # Block-tier counters, fed by :class:`repro.tiering.TieredEngine` and
 # :func:`repro.target.dispatch.compile_block`: superblocks compiled,
-# instructions predecoded into them, superinstruction pairs fused (by
-# kind), block dispatches (each one a cache hit or a compile; trace runs
-# count in ``tiering.trace_dispatches`` instead), block-cache hits, and
-# blocks evicted by code-segment invalidation events.
+# instructions predecoded into them, block dispatches (each one a cache
+# hit or a compile; trace runs count in ``tiering.trace_dispatches``
+# instead), block-cache hits, and blocks evicted by code-segment
+# invalidation events.
 _DISPATCH_KEYS = ("blocks_compiled", "instructions_predecoded",
-                  "fused_pairs", "block_dispatches", "block_cache_hits",
+                  "block_dispatches", "block_cache_hits",
                   "blocks_invalidated")
 _DISPATCH = {key: _REGISTRY.counter(f"dispatch.{key}")
              for key in _DISPATCH_KEYS}
-_FUSED_BY_KIND = _REGISTRY.labeled("dispatch.fused_by_kind")
 
 
-def record_block_compiled(n_instructions: int, fused: dict) -> None:
+def record_block_compiled(n_instructions: int) -> None:
     """Record one superblock compilation."""
     _DISPATCH["blocks_compiled"].inc()
     _DISPATCH["instructions_predecoded"].inc(int(n_instructions))
-    for kind, count in fused.items():
-        _DISPATCH["fused_pairs"].inc(count)
-        _FUSED_BY_KIND.inc(kind, count)
 
 
 def record_dispatch(dispatches: int, cache_hits: int) -> None:
@@ -116,9 +112,7 @@ def record_block_invalidation(dropped: int) -> None:
 
 
 def dispatch_stats() -> dict:
-    out = {key: _DISPATCH[key].value for key in _DISPATCH_KEYS}
-    out["fused_by_kind"] = _FUSED_BY_KIND.snapshot()
-    return out
+    return {key: _DISPATCH[key].value for key in _DISPATCH_KEYS}
 
 
 # -- trace tier ---------------------------------------------------------------
@@ -126,28 +120,25 @@ def dispatch_stats() -> dict:
 # Trace-tier counters, fed by :class:`repro.tiering.TieredEngine`
 # and the driver's adaptive-retier pass: traces promoted (with the
 # superblocks and instructions they cover, plus a trace-length
-# histogram and cross-seam fusion counts), trace-granular dispatches,
-# deopts (poisoned traces evicted back to the block tier), traces
-# dropped by invalidation/demotion, and VCODE->ICODE re-instantiations
-# triggered by the Fig. 5 crossover.
+# histogram), trace-granular dispatches, deopts (poisoned traces
+# evicted back to the block tier), traces dropped by
+# invalidation/demotion, and VCODE->ICODE re-instantiations triggered
+# by the Fig. 5 crossover.
 _TIERING_KEYS = ("promotions", "trace_blocks", "trace_instructions",
                  "trace_dispatches", "deopts", "traces_invalidated",
                  "retier_promotions")
 _TIERING = {key: _REGISTRY.counter(f"tiering.{key}")
             for key in _TIERING_KEYS}
-_TIERING_FUSED = _REGISTRY.labeled("tiering.fused_by_kind")
 _TRACE_LENGTH = _REGISTRY.histogram("tiering.trace_length",
                                     _metrics.INSTRUCTION_BOUNDS)
 
 
-def record_promotion(n_blocks: int, n_instructions: int, fused: dict) -> None:
+def record_promotion(n_blocks: int, n_instructions: int) -> None:
     """Record one superblock->trace promotion."""
     _TIERING["promotions"].inc()
     _TIERING["trace_blocks"].inc(int(n_blocks))
     _TIERING["trace_instructions"].inc(int(n_instructions))
     _TRACE_LENGTH.record(int(n_instructions))
-    for kind, count in fused.items():
-        _TIERING_FUSED.inc(kind, count)
 
 
 def record_trace_dispatches(dispatches: int) -> None:
@@ -172,7 +163,6 @@ def record_retier() -> None:
 
 def tiering_stats() -> dict:
     out = {key: _TIERING[key].value for key in _TIERING_KEYS}
-    out["fused_by_kind"] = _TIERING_FUSED.snapshot()
     out["trace_length"] = _TRACE_LENGTH.snapshot()
     return out
 

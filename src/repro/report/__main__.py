@@ -397,6 +397,17 @@ def report_slo() -> str:
     return "\n".join(lines)
 
 
+def report_paper_figures() -> str:
+    """The paper's tables and figures, as ``all`` prints them first:
+    Table 1, Figures 4-7, blur and section 5.2.  ``RESULTS.txt`` holds
+    exactly this text."""
+    shared = _series_results(FIGURE4_APPS)
+    return "\n\n".join((
+        report_table1(), report_fig4(shared), report_fig5(shared),
+        report_fig6(), report_fig7(), report_blur(), report_usedops(),
+    ))
+
+
 REPORTS = {
     "table1": report_table1,
     "fig4": report_fig4,
@@ -419,12 +430,8 @@ def main(argv=None) -> int:
         print(__doc__)
         return 1
     if argv[0] == "all":
-        shared = _series_results(FIGURE4_APPS)
-        print("\n\n".join((
-            report_table1(), report_fig4(shared), report_fig5(shared),
-            report_fig6(), report_fig7(), report_blur(), report_usedops(),
-            report_trace(), report_hot(), report_cache(),
-        )))
+        print("\n\n".join((report_paper_figures(), report_trace(),
+                             report_hot(), report_cache())))
         return 0
     if argv[0] == "trace":
         try:

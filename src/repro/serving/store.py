@@ -19,12 +19,15 @@ giving up, so a fresh process or engine starts warm.
 Concurrency: the store is lock-striped.  Shape keys hash onto
 :data:`STRIPES` independent buckets, each with its own lock, so sessions
 compiling unrelated closures never contend.  ``match`` snapshots the
-candidate list under the stripe lock but evaluates matches, integrity
-checksums, and guards *outside* it: guard evaluation reads the probing
-session's data memory, and a slow (or adversarial) memory must never
-stall every other session hashing onto the same stripe.  Templates are
-immutable by convention — tampering is exactly what the integrity
-checksum catches — so the lock-free scan is safe.
+candidate list under the stripe lock but evaluates matches and guards
+*outside* it: guard evaluation reads the probing session's data memory,
+and a slow (or adversarial) memory must never stall every other session
+hashing onto the same stripe.  Templates are immutable by convention,
+but another session's ``poison`` chaos action may tamper with a body in
+place at any moment, even after ``match`` has handed the template out.
+The integrity checksum is therefore checked by the cloning session, on
+the one copy of the body that it then clones and audits
+(:meth:`~repro.core.codecache.CodeCache.match_template`).
 """
 
 from __future__ import annotations
@@ -74,11 +77,10 @@ class TemplateStore:
 
     def match(self, signature, memory, segment=None):
         """The store-side half of ``CodeCache.match_template``: same-shape
-        template, matching non-hole values, guards holding in *this*
-        session's memory, and an intact integrity checksum.  A template
-        failing the checksum is evicted (cache poisoning) and counted.
-        On an in-memory miss the disk tier (when present) is probed, and
-        any loaded templates are admitted to the stripe for next time."""
+        template, matching non-hole values, and guards holding in *this*
+        session's memory.  On an in-memory miss the disk tier (when
+        present) is probed, and any loaded templates are admitted to the
+        stripe for next time."""
         lock, shapes = self._stripe(signature.shape_key)
         with lock:
             candidates = list(shapes.get(signature.shape_key, ()))
@@ -102,10 +104,6 @@ class TemplateStore:
         for template in candidates:
             if not template.matches(signature):
                 continue
-            if not template.verify_integrity():
-                self.evict(signature.shape_key, template)
-                _POISONED.inc()
-                continue
             if segment is not None and not template.links_into(segment):
                 continue
             if _guards_hold(template.guards, memory):
@@ -118,6 +116,12 @@ class TemplateStore:
             bucket = shapes.get(shape_key)
             if bucket and template in bucket:
                 bucket.remove(template)
+
+    def evict_poisoned(self, shape_key, template) -> None:
+        """Evict a template whose body failed its integrity checksum
+        (cache poisoning), and count it."""
+        self.evict(shape_key, template)
+        _POISONED.inc()
 
     def drop_after(self, length) -> int:
         """Drop every template installed past segment ``length`` (the

@@ -18,8 +18,8 @@ Modules:
 * :mod:`repro.target.cpu` — the CPU interpreter, the I-cache model, and
   the :class:`~repro.target.cpu.Machine` facade;
 * :mod:`repro.target.dispatch` — the superblock code generator
-  (predecoded superblocks, superinstruction fusion) behind the dispatch
-  engine in :mod:`repro.tiering.engine`, the default way a
+  (predecoded superblocks, one emitter per instruction) behind the
+  dispatch engine in :mod:`repro.tiering.engine`, the default way a
   :class:`~repro.target.cpu.Machine` executes installed code.
 """
 

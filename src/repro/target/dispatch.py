@@ -11,10 +11,9 @@ one-time *predecode* pass for much cheaper steady-state execution:
 * each superblock is compiled, once, into a closed-over Python function
   (:func:`compile_block`): operands become literals or preresolved
   constants, known ``ZERO``-destination writes are dropped, and
-  per-instruction cycle costs are summed into batched charges;
-* common adjacent pairs are fused into **superinstructions**
-  (cmp+branch, ``LI``+op, load+op, ``ADDI``+load/store), eliminating
-  the intermediate register-file traffic.
+  per-instruction cycle costs are summed into batched charges.
+
+Every instruction is translated on its own, by :func:`_emit_one`.
 
 The dispatch loop that runs these blocks block-to-block — one dict
 probe, one call, one watchdog check per *block* instead of per
@@ -59,7 +58,6 @@ from repro import report
 from repro.errors import IllegalInstruction, MachineError
 from repro.target.isa import (
     BRANCH_OPS,
-    COMPARE_OPS,
     CYCLE_COST,
     IMM_TO_BASE,
     SAFE_MEM_OPS,
@@ -167,65 +165,6 @@ def _charge_site(ins) -> bool:
     return not isinstance(op, Op)            # unknown op -> ill() site
 
 
-def _reads_alu(nxt, r: int) -> bool:
-    """Is ``nxt`` a non-trapping int ALU op with a real destination that
-    reads register ``r``?  (Fusion predicate for LI+op / load+op.)"""
-    nbase = IMM_TO_BASE.get(nxt.op, nxt.op)
-    if nbase not in _INT_EXPR:
-        return False
-    if not isinstance(nxt.a, int) or int(nxt.a) == 0:
-        return False
-    if isinstance(nxt.b, int) and int(nxt.b) == r:
-        return True
-    imm_form = nxt.op in IMM_TO_BASE
-    return (not imm_form and isinstance(nxt.c, int) and int(nxt.c) == r)
-
-
-def _with_imm_forms(bases):
-    """A base-op set widened with every immediate form that maps to it."""
-    bases = frozenset(bases)
-    return bases | {imm for imm, base in IMM_TO_BASE.items() if base in bases}
-
-
-#: The fusable superinstruction pairs, keyed by the kind names
-#: :func:`_fusion_kind` returns: ``(first-op set, second-op set)``.  A
-#: pair can only fuse when both ops appear in the program, so the
-#: link-time emitter pruner (:mod:`repro.analysis.usedops`) charges the
-#: pruned translator for exactly the fused cases the program's opcode
-#: set can trigger.
-FUSION_PAIRS = {
-    "cmp_branch": (_with_imm_forms(COMPARE_OPS),
-                   frozenset({Op.BEQZ, Op.BNEZ})),
-    "addr_mem": (frozenset({Op.ADDI}),
-                 frozenset(_MEM_OPS) | SAFE_MEM_OPS),
-    "li_op": (frozenset({Op.LI}), _with_imm_forms(_INT_EXPR)),
-    "load_op": (frozenset({Op.LW, Op.LWS}), _with_imm_forms(_INT_EXPR)),
-}
-
-
-def _fusion_kind(ins, nxt):
-    """Classify the pair (ins, nxt) as a fusable superinstruction."""
-    if nxt is None:
-        return None
-    a = ins.a
-    if not isinstance(a, int) or int(a) == 0:
-        return None
-    op = ins.op
-    nop = nxt.op
-    if (IMM_TO_BASE.get(op, op) in COMPARE_OPS
-            and nop in (Op.BEQZ, Op.BNEZ)
-            and isinstance(nxt.a, int) and int(nxt.a) == int(a)):
-        return "cmp_branch"
-    if (op is Op.ADDI and (nop in _MEM_OPS or nop in SAFE_MEM_OPS)
-            and isinstance(nxt.b, int) and int(nxt.b) == int(a)):
-        return "addr_mem"
-    if op is Op.LI and isinstance(ins.b, int) and _reads_alu(nxt, int(a)):
-        return "li_op"
-    if op in (Op.LW, Op.LWS) and _reads_alu(nxt, int(a)):
-        return "load_op"
-    return None
-
-
 class _Gen:
     """Accumulates the Python source of one superblock."""
 
@@ -284,9 +223,7 @@ class _Gen:
 
     # -- expression builders ----------------------------------------------------
 
-    def src_reg(self, r, sub=None) -> str:
-        if sub is not None and isinstance(r, int) and int(r) in sub:
-            return sub[int(r)]
+    def src_reg(self, r) -> str:
         return f"regs[{self.ridx(r)}]"
 
     def wrap(self, expr: str) -> str:
@@ -299,19 +236,21 @@ class _Gen:
             return f"(({expr} + 0x80000000 & 0xFFFFFFFF) - 0x80000000)"
         return f"wrap32({expr})"
 
-    def int_expr(self, ins, sub=None) -> str:
+    def int_expr(self, ins) -> str:
         """RHS for a non-trapping int ALU op (register or imm form)."""
         base = IMM_TO_BASE.get(ins.op, ins.op)
         tmpl, wrap = _INT_EXPR[base]
-        x = self.src_reg(ins.b, sub)
+        x = self.src_reg(ins.b)
         y = self.imm(ins.c) if ins.op in IMM_TO_BASE \
-            else self.src_reg(ins.c, sub)
+            else self.src_reg(ins.c)
         expr = tmpl.format(x=x, y=y)
         return self.wrap(expr) if wrap else expr
 
-    def addr_expr(self, base_expr: str, offset) -> str:
-        off = self.imm(offset)
-        return base_expr if off == "0" else f"{base_expr} + {off}"
+    def addr_expr(self, ins) -> str:
+        """The effective address ``regs[b] + c`` of a memory op."""
+        base = self.src_reg(ins.b)
+        off = self.imm(ins.c)
+        return base if off == "0" else f"{base} + {off}"
 
 
 def _emit_mem_inline(g: _Gen, op, ins, addr: str) -> None:
@@ -357,15 +296,15 @@ def _emit_mem_inline(g: _Gen, op, ins, addr: str) -> None:
 _INLINE_MEM_OPS = (Op.LW, Op.SW, Op.LB, Op.LBU, Op.SB)
 
 
-def _emit_safe_mem(g: _Gen, ins, base_expr: str, extra_cost: int = 0):
+def _emit_safe_mem(g: _Gen, ins) -> None:
     """Proven-safe memory op: this is the elision the analysis paid for.
     No trap site, no pc flush, no bounds predicate — the access goes
     straight at the backing bytearray (floats keep the accessor call;
     doubles have no inline path even for checked ops) and its one-cycle
     cost joins the batched charge like any ALU op."""
     op = ins.op
-    g.pend += CYCLE_COST[op] + extra_cost
-    addr = g.addr_expr(base_expr, ins.c)
+    g.pend += CYCLE_COST[op]
+    addr = g.addr_expr(ins)
     if op is Op.FLWS:
         g.line(f"fregs[{g.ridx(ins.a)}] = fld({addr})")
         return
@@ -391,12 +330,11 @@ def _emit_safe_mem(g: _Gen, ins, base_expr: str, extra_cost: int = 0):
         g.line(f"{reg} = data[{addr}]")
 
 
-def _emit_mem(g: _Gen, P: int, ins, base_expr: str, extra_cost: int = 0):
-    """Memory op with an exact pre-charge; ``base_expr`` lets fusion
-    substitute an already-computed address base."""
+def _emit_mem(g: _Gen, P: int, ins) -> None:
+    """Checked memory op: a trap site, so charges flush exactly first."""
     op = ins.op
-    g.site(P, CYCLE_COST[op] + extra_cost)
-    addr = g.addr_expr(base_expr, ins.c)
+    g.site(P, CYCLE_COST[op])
+    addr = g.addr_expr(ins)
     is_load = op in (Op.LW, Op.LB, Op.LBU)
     if (g.inline_mem and op in _INLINE_MEM_OPS
             and not (is_load and _is_zero(ins.a))):
@@ -421,7 +359,7 @@ def _emit_mem(g: _Gen, P: int, ins, base_expr: str, extra_cost: int = 0):
 
 
 def _emit_one(g: _Gen, P: int, ins) -> None:
-    """Translate a single (unfused) instruction."""
+    """Translate one instruction."""
     op = ins.op
     a, b, c = ins.a, ins.b, ins.c
     if not isinstance(op, Op):
@@ -524,9 +462,9 @@ def _emit_one(g: _Gen, P: int, ins) -> None:
         if not _is_zero(a):
             g.line(f"regs[{g.ridx(a)}] = {g.wrap(f'~regs[{g.ridx(b)}]')}")
     elif op in _MEM_OPS:
-        _emit_mem(g, P, ins, f"regs[{g.ridx(b)}]")
+        _emit_mem(g, P, ins)
     elif op in SAFE_MEM_OPS:
-        _emit_safe_mem(g, ins, f"regs[{g.ridx(b)}]")
+        _emit_safe_mem(g, ins)
     elif op is Op.FLI:
         g.pend += cost
         if isinstance(b, (int, float)) and math.isfinite(b):
@@ -576,66 +514,6 @@ def _emit_one(g: _Gen, P: int, ins) -> None:
     else:                                # an Op the engine cannot run
         g.site(P, cost)
         g.line(f"ill({g.const(op)})")
-
-
-def _emit_fused(g: _Gen, P: int, Pn: int, ins, nxt, kind: str) -> None:
-    """Translate a fused pair (fusion runs only with the I-cache off, so
-    fetch-order bookkeeping cannot be disturbed).  ``P``/``Pn`` are the
-    pcs of ``ins``/``nxt``: adjacent (``Pn == P + 1``) inside one block,
-    but the trace compiler also fuses across elided-jump seams, where the
-    pair is not pc-adjacent."""
-    cost = CYCLE_COST[ins.op]
-    ncost = CYCLE_COST[nxt.op]
-    A = int(ins.a)
-    if kind == "cmp_branch":
-        g.pend += cost + ncost
-        g.line(f"t = {g.int_expr(ins)}")
-        g.line(f"regs[{A}] = t")
-        g.line("if t:" if nxt.op is Op.BNEZ else "if not t:")
-        g.charge(1, indent=1)
-        g.line("TAIL[0] = 1", indent=1)
-        g.line(f"return {g.imm(nxt.b)}", indent=1)
-        g.charge(0)
-        g.pend = 0
-        g.line(f"return {Pn + 1}")
-        g.closed = True
-    elif kind == "addr_mem":
-        g.line(f"t = {g.wrap(f'regs[{g.ridx(ins.b)}] + {g.imm(ins.c)}')}")
-        g.line(f"regs[{A}] = t")
-        if nxt.op in SAFE_MEM_OPS:
-            _emit_safe_mem(g, nxt, "t", extra_cost=cost)
-        else:
-            _emit_mem(g, Pn, nxt, "t", extra_cost=cost)
-    elif kind == "li_op":
-        lit = wrap32(int(ins.b))
-        g.pend += cost + ncost
-        g.line(f"regs[{A}] = {g.imm(lit)}")
-        sub = {A: str(lit) if lit >= 0 else f"({lit})"}
-        g.line(f"regs[{int(nxt.a)}] = {g.int_expr(nxt, sub)}")
-    elif ins.op is Op.LWS:               # load_op, proven-safe load
-        g.pend += cost
-        addr = g.addr_expr(f"regs[{g.ridx(ins.b)}]", ins.c)
-        g.line(f"a_ = {addr}")
-        g.line("t = ifb(data[a_:a_ + 4], 'little', signed=True)")
-        g.line(f"regs[{A}] = t")
-        g.pend += ncost
-        g.line(f"regs[{int(nxt.a)}] = {g.int_expr(nxt, {A: 't'})}")
-    else:                                # load_op
-        g.site(P, cost)
-        addr = g.addr_expr(f"regs[{g.ridx(ins.b)}]", ins.c)
-        if g.inline_mem:
-            g.line(f"a_ = {addr}")
-            g.line("if not a_ & 3 and (4096 <= a_ <= heap4 "
-                   "or stackb <= a_ <= top4):")
-            g.line("t = ifb(data[a_:a_ + 4], 'little', signed=True)",
-                   indent=1)
-            g.line("else:")
-            g.line("t = lw(a_)", indent=1)
-        else:
-            g.line(f"t = lw({addr})")
-        g.line(f"regs[{A}] = t")
-        g.pend += ncost
-        g.line(f"regs[{int(nxt.a)}] = {g.int_expr(nxt, {A: 't'})}")
 
 
 def build_env(machine, tail: list) -> dict:
@@ -693,34 +571,21 @@ def compile_block(machine, entry: int, env: dict):
     g = _Gen(entry, use_cy=has_site or icache is not None,
              has_site=has_site, icache_on=icache is not None)
 
-    fused: dict = {}
-    fuse_ok = icache is None             # keep per-fetch order exact
-    i = 0
-    while i < len(instrs):
-        P = entry + i
-        if icache is not None and instrs[i].op is not Op.HALT:
+    for P, ins in enumerate(instrs, entry):
+        if icache is not None and ins.op is not Op.HALT:
             g.line(f"cy += ic({P})")
-        nxt = instrs[i + 1] if i + 1 < len(instrs) else None
-        kind = _fusion_kind(instrs[i], nxt) if fuse_ok else None
-        if kind is not None:
-            _emit_fused(g, P, P + 1, instrs[i], nxt, kind)
-            fused[kind] = fused.get(kind, 0) + 1
-            i += 2
-        else:
-            _emit_one(g, P, instrs[i])
-            i += 1
+        _emit_one(g, P, ins)
     if not g.closed:                     # capped / horizon / end of code
         g.charge(0)
         g.pend = 0
         g.line(f"return {entry + len(instrs)}")
 
     blk = assemble(g, env)
-    report.record_block_compiled(len(instrs), fused)
+    report.record_block_compiled(len(instrs))
     tracer = machine.tracer
     if tracer is not None and tracer.enabled:
         tracer.instant("superblock", cat="event", entry=entry,
-                       instructions=len(instrs),
-                       fused=sum(fused.values()))
+                       instructions=len(instrs))
     return blk, (entry + len(instrs) if cacheable else None)
 
 

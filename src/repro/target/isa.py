@@ -275,10 +275,6 @@ for _op in Op:
         IMM_TO_BASE[_op] = Op[_op.name[:-1]]
 del _op
 
-#: Integer comparison ops (result is 0/1; they can never trap), the
-#: candidates for cmp+branch superinstruction fusion.
-COMPARE_OPS = {Op.SEQ, Op.SNE, Op.SLT, Op.SLE, Op.SGT, Op.SGE, Op.SLTU}
-
 
 class Instruction:
     """One target instruction: an opcode and up to three operands.

@@ -15,9 +15,9 @@ Metric types
 ``Gauge``
     a point-in-time value (last write wins).
 ``LabeledCounter``
-    a family of counters keyed by a string label (``fused_by_kind``,
-    verifier diagnostics per layer).  ``preset`` labels survive a reset
-    at zero, matching the legacy dict shapes.
+    a family of counters keyed by a string label (verifier diagnostics
+    per layer, serving requests degraded per tier).  ``preset`` labels
+    survive a reset at zero, matching the legacy dict shapes.
 ``Histogram``
     fixed-boundary distribution; records count/sum/min/max plus one
     bucket per boundary (bucket *i* counts values <= ``bounds[i]``, the
@@ -141,10 +141,6 @@ class Gauge:
     def reset(self) -> None:
         with _LOCK:
             self.value = 0
-
-    def merge(self, other: "Gauge") -> None:
-        with _LOCK:
-            self.value = other.value
 
     def snapshot(self):
         return self.value
@@ -274,25 +270,6 @@ class Histogram:
             self.max = None
             self.exemplars = {}
 
-    def merge(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histogram {other.name!r}: bounds differ"
-            )
-        with _LOCK:
-            for i, n in enumerate(other.buckets):
-                self.buckets[i] += n
-            self.count += other.count
-            self.total += other.total
-            self.exemplars.update(other.exemplars)
-            for v in (other.min, other.max):
-                if v is None:
-                    continue
-                if self.min is None or v < self.min:
-                    self.min = v
-                if self.max is None or v > self.max:
-                    self.max = v
-
     def snapshot(self) -> dict:
         with _LOCK:
             out = {
@@ -357,11 +334,6 @@ class EventLog:
         with _LOCK:
             self.total = 0
             self._events.clear()
-
-    def merge(self, other: "EventLog") -> None:
-        with _LOCK:
-            self.total += other.total
-            self._events.extend(other._events)
 
     def snapshot(self) -> dict:
         with _LOCK:
@@ -437,14 +409,16 @@ class MetricsRegistry:
             metric.reset()
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold every metric of ``other`` into this registry in place.
+        """Fold every counter and labeled counter of ``other`` into
+        this registry in place, adding per name and per label.
 
         Used by serving sessions to roll their per-session view up into
-        the process-wide registry on close: counters add, gauges take the
-        session's last value, histograms add bucket-wise (same bounds
-        required), event logs concatenate.  Metric objects here keep
-        their identity, so modules that cached them at import time see
-        the merged values.
+        the process-wide registry on close.  A session registry holds
+        only counters and labeled counters (``serving.*``,
+        ``serving.degraded_by_tier``, ``chaos.injected``), so those are
+        the only kinds that merge.  Metric objects here keep their
+        identity, so modules that cached them at import time see the
+        merged values.
         """
         with _LOCK:
             items = list(other._metrics.items())
@@ -458,11 +432,7 @@ def _blank_like(metric):
     """A zeroed metric with the same name and configuration."""
     if isinstance(metric, LabeledCounter):
         return LabeledCounter(metric.name, metric.preset)
-    if isinstance(metric, Histogram):
-        return Histogram(metric.name, metric.bounds)
-    if isinstance(metric, EventLog):
-        return EventLog(metric.name, metric.capacity)
-    return type(metric)(metric.name)
+    return Counter(metric.name)
 
 
 #: The process-wide registry every subsystem feeds.

@@ -5,10 +5,10 @@
 tier on (``engine="tiered"``, the default) it also counts how often
 every superblock is dispatched, and when a block crosses a hotness
 threshold it links the hot superblocks along their observed taken
-branches into one widened straight-line **trace**, re-runs
-superinstruction fusion over the widened window, and hoists the
-per-block watchdog probe and block-cache lookup out of the interior —
-paying them once per trace entry instead of once per block.
+branches into one widened straight-line **trace**, compiles it with
+the superblock emitters, and hoists the per-block watchdog probe and
+block-cache lookup out of the interior — paying them once per trace
+entry instead of once per block.
 ``engine="block"`` is the same engine with the trace tier off: no trace
 probe, no profile.  Modeled cycles, machine state, and the trap taxonomy
 stay bit-identical to the reference stepper (``tests/test_engines.py``
@@ -21,7 +21,7 @@ Layout:
     trace size caps).
 ``trace``
     trace formation from the dispatch profile and trace code generation
-    (reusing the superblock generator and fusion rules).
+    (reusing the superblock generator's per-instruction emitters).
 ``engine``
     :class:`TieredEngine` — the dispatch loop, the block and trace
     caches, the profile, promotion, invalidation, and deopt.

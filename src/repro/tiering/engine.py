@@ -8,7 +8,7 @@ the default) the loop also profiles every block dispatch (count + last
 observed successor edge); when a block's count reaches the policy's
 hotness threshold it is **promoted**: :func:`repro.tiering.trace.form_trace`
 links the hot superblocks along the profile into one straight-line
-trace, the trace compiler re-runs superinstruction fusion over the
+trace, the trace compiler replays the superblock emitters over the
 widened window, and the compiled trace is installed in a trace cache
 probed *before* the block cache.  A trace call replaces many block
 dispatches — the per-seam cache probe and watchdog check are paid once
@@ -217,7 +217,7 @@ class TieredEngine:
             has_site = trace_has_site(form)
             g = _Gen(entry, use_cy=has_site, has_site=has_site,
                      icache_on=False, inline_wrap=True, inline_mem=True)
-            fused = emit_trace(g, form)
+            emit_trace(g, form)
             fn = assemble(g, self._env)
             if self._poison_next:
                 self._poison_next = False
@@ -226,7 +226,7 @@ class TieredEngine:
             self._trace_info[entry] = (form.end, tuple(form.block_entries),
                                        form.instructions, form.cost)
             report.record_promotion(len(form.block_entries),
-                                    form.instructions, fused)
+                                    form.instructions)
         finally:
             if span is not None:
                 blocks = len(self._trace_info[entry][1]) \
@@ -264,8 +264,8 @@ class TieredEngine:
         counts = self._counts
         succ = self._succ
         tail = self._tail
-        # Fusion (and therefore tracing) is off under the I-cache: the
-        # per-fetch accounting needs the per-block shape.
+        # Tracing is off under the I-cache: trace code emits no
+        # per-fetch ic() charge, so only blocks keep its accounting.
         tracing = self.tracing and machine.icache is None
         hot = self.policy.hot_threshold
         limit = math.inf if budget is None else cpu.cycles + budget

@@ -5,13 +5,11 @@ superblock, formation follows the *observed* control flow recorded by
 the profiling dispatch loop — elided unconditional jumps and calls,
 guarded conditional branches — linking several superblocks into one
 straight-line run.  The trace compiler then replays the superblock
-code generator (:class:`repro.target.dispatch._Gen` and the fusion
-rules) over the widened window, which
+code generator (:class:`repro.target.dispatch._Gen` and its
+per-instruction emitters) over the widened window, which
 
 * eliminates the per-block dispatch (dict probe + call + watchdog
-  check) for every interior seam — the hoisting the tentpole asks for;
-* exposes cross-block superinstruction pairs the per-block compiler can
-  never see (the pair straddles a seam);
+  check) for every interior seam;
 * keeps the exactness contract: every trap site still flushes through
   ``_Gen.site``, guard side exits flush pending charges exactly at the
   last reference checkpoint (``TAIL``-adjusted for the taken ``+1``),
@@ -34,9 +32,7 @@ from __future__ import annotations
 from repro.target.dispatch import (
     TERMINATOR_OPS,
     _charge_site,
-    _emit_fused,
     _emit_one,
-    _fusion_kind,
     _Gen,
     carve_block,
 )
@@ -198,88 +194,21 @@ def _emit_guard(g: _Gen, P: int, ins, follow_taken: bool) -> None:
         g.line(f"return {g.imm(ins.b)}", indent=1)
 
 
-def _emit_fused_guard(g: _Gen, P: int, ins, Pn: int, br,
-                      follow_taken: bool) -> None:
-    """Fused compare + trace-interior guard (the cmp_branch shape from
-    ``_emit_fused``, but with guard-style exits instead of closing the
-    unit)."""
-    g.pend += CYCLE_COST[ins.op] + CYCLE_COST[br.op]
-    A = int(ins.a)
-    g.line(f"t = {g.int_expr(ins)}")
-    g.line(f"regs[{A}] = t")
-    if follow_taken:
-        g.line("if not t:" if br.op is Op.BNEZ else "if t:")
-        g.charge(0, indent=1)
-        g.line(f"return {Pn + 1}", indent=1)
-        g.pend += 1
-    else:
-        g.line("if t:" if br.op is Op.BNEZ else "if not t:")
-        g.charge(1, indent=1)
-        g.line("TAIL[0] = 1", indent=1)
-        g.line(f"return {g.imm(br.b)}", indent=1)
-
-
-def emit_trace(g: _Gen, form: TraceForm) -> dict:
-    """Generate the trace body into ``g``; returns the fused-pair
-    histogram (kind -> count), including cross-seam pairs.
-
-    Fusion runs over the *widened* step stream, so pairs can straddle
-    block seams: a plain fall-through seam behaves exactly like the
-    in-block case, and an elided-jump seam fuses by folding the jump's
-    cycle cost into the pending batch (before the pair for kinds whose
-    trap site follows the jump, after it for ``load_op`` whose trap
-    site precedes the jump).  No fusion across ``call`` seams — the
-    return-address write intervenes.
-    """
-    steps = form.steps
-    fused: dict = {}
-    n = len(steps)
-    i = 0
-    while i < n:
-        step = steps[i]
+def emit_trace(g: _Gen, form: TraceForm) -> None:
+    """Generate the trace body into ``g``: one emitter per step, with
+    elided jumps and calls folding their cycle cost into the pending
+    batch and the terminal closing the unit."""
+    for step in form.steps:
         tag = step[0]
         if tag == "ins":
-            P, ins = step[1], step[2]
-            nxt = steps[i + 1] if i + 1 < n else None
-            if nxt is not None and nxt[0] == "ins":
-                kind = _fusion_kind(ins, nxt[2])
-                if kind is not None:
-                    _emit_fused(g, P, nxt[1], ins, nxt[2], kind)
-                    fused[kind] = fused.get(kind, 0) + 1
-                    i += 2
-                    continue
-            if (nxt is not None and nxt[0] == "jmp"
-                    and i + 2 < n and steps[i + 2][0] == "ins"):
-                far = steps[i + 2]
-                kind = _fusion_kind(ins, far[2])
-                if kind is not None:
-                    jcost = CYCLE_COST[Op.JMP]
-                    if kind != "load_op":
-                        g.pend += jcost
-                    _emit_fused(g, P, far[1], ins, far[2], kind)
-                    if kind == "load_op":
-                        g.pend += jcost
-                    fused[kind] = fused.get(kind, 0) + 1
-                    i += 3
-                    continue
-            if (nxt is not None and nxt[0] == "guard"
-                    and _fusion_kind(ins, nxt[2]) == "cmp_branch"):
-                _emit_fused_guard(g, P, ins, nxt[1], nxt[2], nxt[3])
-                fused["cmp_branch"] = fused.get("cmp_branch", 0) + 1
-                i += 2
-                continue
-            _emit_one(g, P, ins)
-            i += 1
+            _emit_one(g, step[1], step[2])
         elif tag == "jmp":
             g.pend += CYCLE_COST[Op.JMP]
-            i += 1
         elif tag == "call":
             g.pend += CYCLE_COST[Op.CALL]
             g.line(f"regs[1] = {step[1] + 1}")
-            i += 1
         else:                            # guard
             _emit_guard(g, step[1], step[2], step[3])
-            i += 1
     term = form.terminal
     if term[0] == "end":
         _emit_one(g, term[1], term[2])
@@ -291,4 +220,3 @@ def emit_trace(g: _Gen, form: TraceForm) -> dict:
         g.charge(0)
         g.pend = 0
         g.line(f"return {term[1]}")
-    return fused

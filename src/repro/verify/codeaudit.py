@@ -23,10 +23,11 @@ clone) is linked, audit exactly the range it occupies.
 
 :func:`check_template` replays a Tier-2 instantiation independently: it
 recomputes every hole value (``wrap32(value[origin] * scale + addend)``)
-and every relocation (``old + delta``) from the template's records and the
-new signature, and compares against what was actually emitted — catching a
-skipped or mis-applied patch even though patched operands are
-indistinguishable from ordinary immediates once installed.
+and every relocation (``old + delta``) from the template's records, the
+checksum-verified body the clone copied, and the new signature, and
+compares against what was actually emitted — catching a skipped or
+mis-applied patch even though patched operands are indistinguishable
+from ordinary immediates once installed.
 """
 
 from __future__ import annotations
@@ -115,13 +116,15 @@ def _values_equal(got, expected) -> bool:
     return got == expected
 
 
-def check_template(machine, template, signature, new_entry: int,
+def check_template(machine, template, body, signature, new_entry: int,
                    where: str = "template") -> list:
-    """Replay a Tier-2 instantiation and diff it against the emitted clone."""
+    """Replay a Tier-2 instantiation of ``body`` (the template's
+    checked ``(op, a, b, c)`` rows) and diff it against the emitted
+    clone."""
     diags: list = []
     segment = machine.code
     delta = new_entry - template.entry
-    n = len(template.instructions)
+    n = len(body)
     if new_entry + n > len(segment.instructions):
         _diag(diags, "short-clone",
               f"template clone at {new_entry} should span {n} instructions "
@@ -134,21 +137,21 @@ def check_template(machine, template, signature, new_entry: int,
         patch_map.setdefault(rel, []).append((field, (org, scl, add,
                                                       is_float)))
     values = signature.values
-    for rel, src in enumerate(template.instructions):
+    for rel, (op, a, b, c) in enumerate(body):
         emitted = segment.instructions[new_entry + rel]
-        if emitted.op is not src.op:
+        if emitted.op is not op:
             # One substitution is legitimate: clone-time fact
             # revalidation demotes a proven-safe access back to its
             # checked twin when the new hole values break the proof.
             # The checked form is a strict superset of the safe one, so
             # the demotion can only add a bounds test, never change
             # behavior.
-            if SAFE_TO_CHECKED.get(src.op) is not emitted.op:
+            if SAFE_TO_CHECKED.get(op) is not emitted.op:
                 _diag(diags, "mispatched-template",
                       f"@{new_entry + rel}: opcode {emitted.op!r} differs "
-                      f"from template {src.op!r}", where)
+                      f"from template {op!r}", where)
                 continue
-        expected = {"a": src.a, "b": src.b, "c": src.c}
+        expected = {"a": a, "b": b, "c": c}
         for field, hole in patch_map.get(rel, ()):
             if hole is None:
                 expected[field] = expected[field] + delta
@@ -172,7 +175,7 @@ def run_range(machine, start: int, end: int, where: str = "install") -> None:
     verify.run_checker("codeaudit", check_range, machine, start, end, where)
 
 
-def run_template(machine, template, signature, new_entry: int,
+def run_template(machine, template, body, signature, new_entry: int,
                  where: str = "template") -> None:
     verify.run_checker("codeaudit", check_template, machine, template,
-                       signature, new_entry, where)
+                       body, signature, new_entry, where)

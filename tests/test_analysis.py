@@ -4,15 +4,10 @@ import pytest
 
 from repro import TccCompiler
 from repro.analysis import collect_used_ops, emitter_size_estimate
-from repro.analysis.usedops import (
-    FULL_ISA_SIZE,
-    FUSED_CASE_SIZE,
-    TRANSLATOR_CASE_SIZE,
-    fusable_kinds,
-)
+from repro.analysis.usedops import FULL_ISA_SIZE, TRANSLATOR_CASE_SIZE
 from repro.apps import ALL_APPS
 from repro.apps.table1 import TABLE1_ROWS, run_row, table1
-from repro.target.isa import Instruction, Op
+from repro.target.isa import Op
 
 
 @pytest.fixture(scope="module")
@@ -29,42 +24,14 @@ class TestUsedOps:
         assert report.used_count < FULL_ISA_SIZE / 3
 
     def test_pruning_factor_reported(self, tcc):
-        from repro.target.dispatch import FUSION_PAIRS
-
         prog = tcc.compile(
             "int build(void) { return (int)compile(`(1 + 2), int); }"
         )
         report = collect_used_ops(prog)
         est = emitter_size_estimate(report)
-        assert est["full"] == (FULL_ISA_SIZE * TRANSLATOR_CASE_SIZE
-                               + len(FUSION_PAIRS) * FUSED_CASE_SIZE)
-        assert est["pruned"] == (
-            report.used_count * TRANSLATOR_CASE_SIZE
-            + len(report.fusion_kinds) * FUSED_CASE_SIZE
-        )
+        assert est["full"] == FULL_ISA_SIZE * TRANSLATOR_CASE_SIZE
+        assert est["pruned"] == report.used_count * TRANSLATOR_CASE_SIZE
         assert est["reduction_factor"] > 1.0
-
-    def test_fusion_pairs_match_dispatch_fusion(self):
-        """FUSION_PAIRS, which sizes the pruned translator, names exactly
-        the opcode pairs the superblock generator fuses: over every
-        opcode pair, with the first result read through each operand
-        slot a fusion rule inspects."""
-        from repro.target.dispatch import FUSION_PAIRS, _fusion_kind
-
-        r = 5
-        mismatches = []
-        for op in Op:
-            ins = Instruction(op, r, 6, 7)
-            for nop in Op:
-                shapes = (Instruction(nop, r, 0, 0),    # branch condition
-                          Instruction(nop, 8, r, 9),    # base / x operand
-                          Instruction(nop, 8, 9, r))    # reg-form y operand
-                got = {_fusion_kind(ins, nxt) for nxt in shapes} - {None}
-                want = {kind for kind, (first, second) in FUSION_PAIRS.items()
-                        if op in first and nop in second}
-                if got != want:
-                    mismatches.append((op.name, nop.name, got, want))
-        assert mismatches == []
 
     def test_float_ops_detected(self, tcc):
         prog = tcc.compile(
@@ -99,39 +66,16 @@ class TestUsedOps:
         est = emitter_size_estimate(report)
         assert est["reduction_factor"] > 5.0
 
-    def test_fusion_pairs_counted(self, tcc):
-        # Regression: the scan historically ignored the block engine's
-        # superinstruction fusion, under-counting the pruned translator
-        # for every program whose opcode set can fuse.  A comparison in
-        # a loop condition pulls in compare + branch ops: cmp_branch
-        # must be charged; the baseline ops alone already enable
-        # addr_mem (ADDI + LW/SW) and li_op (LI + ADDI).
+    def test_ternary_pulls_in_branch_ops(self, tcc):
+        # A ternary lowers to a branch diamond, exactly like an if: the
+        # pruned translator must keep both conditional branches and the
+        # jump that rejoins the arms.
         prog = tcc.compile(
             "int build(int n) { int vspec x = param(int, 0);"
             " return (int)compile(`(x < $n ? x + 1 : 0), int); }"
         )
         report = collect_used_ops(prog)
-        assert "cmp_branch" in report.fusion_kinds
-        assert "addr_mem" in report.fusion_kinds
-        assert "li_op" in report.fusion_kinds
-        est = emitter_size_estimate(report)
-        assert est["fusion_kinds"] == list(report.fusion_kinds)
-        # each enabled kind adds exactly one fused case to the
-        # pruned size
-        assert (est["pruned"] - report.used_count * TRANSLATOR_CASE_SIZE
-                ) == len(report.fusion_kinds) * FUSED_CASE_SIZE
-
-    def test_fusable_kinds_need_both_halves(self):
-        # A kind needs both halves of its pair present: LI alone cannot
-        # fuse (li_op wants an ALU consumer), and a compare without a
-        # conditional branch cannot form cmp_branch.
-        assert fusable_kinds({Op.LI}) == ()
-        assert fusable_kinds({Op.LI, Op.ADD}) == ("li_op",)
-        assert fusable_kinds({Op.SLT}) == ()
-        assert fusable_kinds({Op.SLT, Op.BNEZ}) == ("cmp_branch",)
-        # ADDI feeding LW enables addr_mem; LW feeding ADDI (an ADD imm
-        # form) enables load_op — but never li_op without LI.
-        assert fusable_kinds({Op.ADDI, Op.LW}) == ("addr_mem", "load_op")
+        assert {Op.BEQZ, Op.BNEZ, Op.JMP} <= report.used_ops
 
 
 class TestTable1:

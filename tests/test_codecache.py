@@ -382,7 +382,7 @@ class TestTransactionalClone:
         seg = proc.machine.code
         before = len(seg.instructions)
 
-        def crash(self, template, signature, machine, cost):
+        def crash(self, template, body, signature, machine, cost):
             machine.code.emit(template.instructions[0])   # partial body...
             raise RuntimeError("boom mid-clone")
 
@@ -402,7 +402,7 @@ class TestTransactionalClone:
         proc.run("build", 10)
         seg = proc.machine.code
 
-        def short(self, template, signature, machine, cost):
+        def short(self, template, body, signature, machine, cost):
             entry = machine.code.here
             for src in template.instructions[:len(template.instructions) // 2]:
                 machine.code.emit(src)

@@ -36,6 +36,7 @@ from repro import DeadlineExceeded, Engine, report
 from repro.errors import CycleBudgetExceeded
 from repro.serving import ChaosPlan, chaos_matrix
 from repro.serving.chaos import KINDS, from_env
+from repro.serving.store import TemplateStore
 from repro.telemetry.metrics import REGISTRY
 
 ADDER = """
@@ -208,6 +209,33 @@ class TestSessionIsolation:
         finally:
             noisy.close()
             clean.close()
+
+    def test_tamper_after_match_never_reaches_a_clone(self, monkeypatch):
+        """Another session's ``poison`` can land between the store handing
+        out a template and the clone copying it.  The clone must copy,
+        and the publish-gate audit replay, only the body whose checksum
+        was verified: here the tamper is caught, the template evicted,
+        and the request served by a cold compile."""
+        eng = Engine(ADDER, chaos=None)
+        with eng.session() as a:
+            out = a.request("make_adder", (1,), call_args=(0,))
+            assert out.ok and out.path == "cold"
+        match = TemplateStore.match
+
+        def match_then_tamper(store, *args, **kwargs):
+            template = match(store, *args, **kwargs)
+            if template is not None:
+                store.tamper_first()
+            return template
+
+        monkeypatch.setattr(TemplateStore, "match", match_then_tamper)
+        poisoned = REGISTRY.counter("cache.poisoned_evictions")
+        before = poisoned.value
+        with eng.session() as b:
+            out = b.request("make_adder", (2,), call_args=(0,))
+        assert out.ok, out.error
+        assert out.value == 2 and out.path == "cold"
+        assert poisoned.value == before + 1
 
     def test_concurrent_chaos_and_clean_sessions(self):
         """Thread a chaos session against clean sessions; the clean ones

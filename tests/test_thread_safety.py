@@ -158,9 +158,6 @@ class TestTemplateStore:
             def matches(self, signature):
                 return True
 
-            def verify_integrity(self):
-                return True
-
             def links_into(self, segment):
                 return True
 

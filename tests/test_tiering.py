@@ -321,7 +321,6 @@ class TestStatsReset:
         assert cleared["trace_dispatches"] == 0
         assert cleared["deopts"] == 0
         assert cleared["trace_length"]["count"] == 0
-        assert cleared["fused_by_kind"] == {}
 
 
 def test_generated_loop_matches_reference_with_tiny_threshold():

@@ -273,8 +273,8 @@ class TestCodeauditMutations:
         """
         original = CodeCache.instantiate_template
 
-        def skip_one_patch(self, template, signature, machine, cost):
-            entry = original(self, template, signature, machine, cost)
+        def skip_one_patch(self, template, body, signature, machine, cost):
+            entry = original(self, template, body, signature, machine, cost)
             if template.holes:
                 rel, field = template.holes[0][0], template.holes[0][1]
                 old = machine.code.instructions[entry + rel]
