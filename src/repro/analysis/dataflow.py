@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.operands import VReg
+from repro.runtime.costmodel import IR_ANALYSIS
 from repro.target.isa import (
     CHECKED_TO_SAFE, MEM_WIDTH, SAFE_MEM_OPS, Op,
 )
@@ -160,7 +161,6 @@ def analyze(ir, memory=None, cost=None, fg=None, liveness=None) -> Analysis:
     gates the const marks; without it only verdicts are produced."""
     from repro.core.codecache import origin_of
     from repro.analysis.lattice import transfer as lattice_transfer
-    from repro.runtime.costmodel import Phase
 
     result = Analysis()
     instrs = ir.instrs
@@ -227,7 +227,7 @@ def analyze(ir, memory=None, cost=None, fg=None, liveness=None) -> Analysis:
                     worklist.append(succ)
 
     if cost is not None:
-        cost.charge(Phase.IR, "analysis", result.instrs_visited)
+        cost.charge(IR_ANALYSIS, result.instrs_visited)
 
     # -- decision pass over the fixpoint ---------------------------------
     if memory is not None:

@@ -18,7 +18,7 @@ from repro.core.lowering import CodeGen, CspecBinding, MemLV, RegVal, \
 from repro.errors import RuntimeTccError
 from repro.frontend import cast
 from repro.runtime.closures import CaptureKind
-from repro.runtime.costmodel import Phase
+from repro.runtime.costmodel import CLOSURE_CGF_CALL
 
 
 def dollar_key(slot: int) -> str:
@@ -159,7 +159,7 @@ class ApplyCGF:
         handles = []
         vals = []
         for arg_closure in closure.slots["args"]:
-            ctx.cost.charge(Phase.CLOSURE, "cgf_call")
+            ctx.cost.charge(CLOSURE_CGF_CALL)
             value = gen.materialize(arg_closure.cgf.emit_into(ctx, arg_closure))
             vals.append(value)
             handles.append((value.handle, "i"))

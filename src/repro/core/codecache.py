@@ -52,9 +52,15 @@ from __future__ import annotations
 import struct
 import threading
 from collections import OrderedDict
+from typing import NamedTuple
 
 from repro.runtime.closures import ClosureSignature, signature_of
-from repro.runtime.costmodel import Phase
+from repro.runtime.costmodel import (
+    LINK_FACT_CHECK,
+    PATCH_COPY_INSTR,
+    PATCH_GUARD,
+    PATCH_HOLE,
+)
 from repro.target.isa import Instruction, wrap32
 from repro.target.program import Label
 from repro.telemetry.metrics import REGISTRY
@@ -70,6 +76,7 @@ __all__ = [
     "origin_of",
     "PatchRecorder",
     "CodeTemplate",
+    "TemplateRecords",
     "CacheEntry",
     "CodeCache",
     "signature_of",
@@ -325,18 +332,44 @@ class CacheEntry:
         self.cold_cycles = cold_cycles
 
 
-def _body_rows(instructions) -> tuple:
-    """An instruction body as immutable ``(op, a, b, c)`` rows.
+class TemplateRecords(NamedTuple):
+    """Every record of a template that picks or shapes a clone, as
+    immutable values: what the store's match read (values, patchable
+    origins, guards, callees) and what the clone and its audit copy
+    (rows, relocations, holes, facts, entry).
 
-    A template's checksum is the hash of these rows.  It is captured
+    A template's checksum is the hash of these records.  It is captured
     when the template is stored and re-verified before every clone, so
     tampering with the shared template store (cache poisoning) is
-    detected *before* the corrupt body is copied into a session's code
-    segment — non-hole operands are indistinguishable from ordinary
-    immediates once installed, so the install-time audit alone cannot
-    catch them.
+    detected *before* the corrupt template is copied into a session's
+    code segment: non-hole operands and mis-patched holes are
+    indistinguishable from ordinary immediates once installed, and the
+    audit replays the same records, so neither the install-time audit
+    nor the clone audit can catch them.
     """
-    return tuple((i.op, i.a, i.b, i.c) for i in instructions)
+
+    rows: tuple            # (op, a, b, c) per body instruction
+    relocs: tuple
+    holes: tuple
+    guards: tuple
+    facts: tuple
+    values: tuple
+    patchable: frozenset
+    callees: tuple
+    entry: int
+
+
+def _records(template) -> TemplateRecords:
+    return TemplateRecords(
+        rows=tuple((i.op, i.a, i.b, i.c) for i in template.instructions),
+        relocs=tuple(template.relocs),
+        holes=tuple(template.holes),
+        guards=tuple(template.guards),
+        facts=tuple(map(tuple, template.facts)),
+        values=tuple(template.values),
+        patchable=frozenset(template.patchable),
+        callees=tuple(template.callees),
+        entry=template.entry)
 
 
 class CodeTemplate:
@@ -366,7 +399,7 @@ class CodeTemplate:
         self.facts = list(recorder.facts)
         self.cold_cycles = cold_cycles
         self.callees = recorder.callee_bindings
-        self.checksum = hash(_body_rows(self.instructions))
+        self.checksum = hash(_records(self))
 
     @classmethod
     def restore(cls, *, values, patchable, holes, relocs, instructions,
@@ -394,17 +427,17 @@ class CodeTemplate:
         self.facts = [tuple(fact) for fact in facts]
         self.cold_cycles = cold_cycles
         self.callees = tuple(callees)
-        self.checksum = hash(_body_rows(self.instructions))
+        self.checksum = hash(_records(self))
         return self
 
-    def checked_body(self):
-        """The body as ``(op, a, b, c)`` rows, read once, when they
-        still hash to the stored checksum; None when they do not (the
-        body was tampered with).  Clone and audit both read these rows,
-        never the live ``instructions``, so a tamper that lands after
-        this check reaches neither."""
-        body = _body_rows(self.instructions)
-        return body if hash(body) == self.checksum else None
+    def checked_records(self):
+        """The :class:`TemplateRecords`, read once, when they still hash
+        to the stored checksum; None when they do not (the template was
+        tampered with).  Clone and audit both read these records, never
+        the live attributes, so a tamper that lands after this check
+        reaches neither."""
+        records = _records(self)
+        return records if hash(records) == self.checksum else None
 
     def links_into(self, segment) -> bool:
         """True when every callee symbol this body calls resolves to the
@@ -508,14 +541,14 @@ class CodeCache:
             return entry
 
     def match_template(self, signature, memory, segment=None):
-        """Tier-2 probe: ``(template, body)`` or None.
+        """Tier-2 probe: ``(template, records)`` or None.
 
         The store answers with a same-shape template whose non-hole
         values all match and whose guards still hold (see
         :meth:`TemplateStore.match`, which falls back to the disk tier).
-        Its body is then read once and checked against the integrity
-        checksum; ``body`` is that checked copy, the only one the clone
-        and its audit may read.  A template failing the checksum is
+        Its records are then read once and checked against the integrity
+        checksum; ``records`` is that checked copy, the only one the
+        clone and its audit may read.  A template failing the checksum is
         evicted (cache poisoning), counted, and the probe misses, so the
         request compiles cold."""
         if not self.templates_enabled:
@@ -523,11 +556,11 @@ class CodeCache:
         template = self.template_store.match(signature, memory, segment)
         if template is None:
             return None
-        body = template.checked_body()
-        if body is None:
+        records = template.checked_records()
+        if records is None:
             self.template_store.evict_poisoned(signature.shape_key, template)
             return None
-        return template, body
+        return template, records
 
     # -- stores -----------------------------------------------------------
 
@@ -573,13 +606,15 @@ class CodeCache:
                                     CodeTemplate(recorder, end, cold_cycles),
                                     signature)
 
-    def store_patched(self, signature, template, entry, end) -> None:
-        """A Tier-2 clone is itself a valid Tier-1 entry for its key."""
+    def store_patched(self, signature, template, records, entry,
+                      end) -> None:
+        """A Tier-2 clone is itself a valid Tier-1 entry for its key,
+        guarded by the checked ``records``' guards."""
         if not self.enabled:
             return
         with self._lock:
             self._memo_put(signature.key,
-                           CacheEntry(entry, end, list(template.guards),
+                           CacheEntry(entry, end, list(records.guards),
                                       template.cold_cycles))
 
     def _memo_put(self, key, entry) -> None:
@@ -589,13 +624,13 @@ class CodeCache:
 
     # -- Tier-2 instantiation ---------------------------------------------
 
-    def instantiate_template(self, template, body, signature, machine,
-                             cost):
-        """Clone a template's checked ``body`` (see :meth:`match_template`)
-        at the current segment cursor, patching holes and relocating
-        label operands.  Emits through ``segment.emit`` so
-        capacity checks and fault injection behave exactly as they would
-        for a cold compile; the caller wraps this in mark()/release().
+    def instantiate_template(self, records, signature, machine, cost):
+        """Clone a template's checked ``records`` (see
+        :meth:`match_template`) at the current segment cursor, patching
+        holes and relocating label operands.  Emits through
+        ``segment.emit`` so capacity checks and fault injection behave
+        exactly as they would for a cold compile; the caller wraps this
+        in mark()/release().
 
         Elision facts ride along: the fully patched body is re-proven by
         the factcheck rules *before* emission, and any safe-form access
@@ -606,16 +641,16 @@ class CodeCache:
         the caller's post-link verification pass."""
         segment = machine.code
         new_entry = segment.here
-        delta = new_entry - template.entry
+        delta = new_entry - records.entry
         patch_map = {}
-        for rel, field in template.relocs:
+        for rel, field in records.relocs:
             patch_map.setdefault(rel, []).append((field, None))
-        for rel, field, org, scl, add, is_float in template.holes:
+        for rel, field, org, scl, add, is_float in records.holes:
             patch_map.setdefault(rel, []).append((field,
                                                   (org, scl, add, is_float)))
         values = signature.values
         clone = []
-        for rel, (op, a, b, c) in enumerate(body):
+        for rel, (op, a, b, c) in enumerate(records.rows):
             ops = {"a": a, "b": b, "c": c}
             for field, hole in patch_map.get(rel, ()):
                 if hole is None:
@@ -628,19 +663,19 @@ class CodeCache:
                     else:
                         ops[field] = wrap32(int(raw) * scl + add)
             clone.append(Instruction(op, ops["a"], ops["b"], ops["c"]))
-        facts = [tuple(fact) for fact in template.facts]
+        facts = list(records.facts)
         if facts:
             facts = self._revalidate_clone(clone, new_entry, facts,
                                            machine.memory, cost)
         self.last_clone_facts = facts
         for instr in clone:
             segment.emit(instr)
-        cost.charge(Phase.PATCH, "copy_instr", len(body))
-        if template.holes:
-            cost.charge(Phase.PATCH, "hole", len(template.holes))
-        if template.guards:
-            cost.charge(Phase.PATCH, "guard", len(template.guards))
-        cost.note_instruction(len(body))
+        cost.charge(PATCH_COPY_INSTR, len(clone))
+        if records.holes:
+            cost.charge(PATCH_HOLE, len(records.holes))
+        if records.guards:
+            cost.charge(PATCH_GUARD, len(records.guards))
+        cost.note_instruction(len(clone))
         return new_entry
 
     @staticmethod
@@ -652,7 +687,7 @@ class CodeCache:
         from repro.target.isa import SAFE_TO_CHECKED
         from repro.verify import factcheck
 
-        cost.charge(Phase.LINK, "fact_check", len(facts))
+        cost.charge(LINK_FACT_CHECK, len(facts))
         failed = factcheck.failing_facts(clone, new_entry, facts, memory)
         if not failed:
             return facts

@@ -44,7 +44,7 @@ from repro.frontend.sema import BUILTINS
 from repro.icode.backend import IcodeBackend
 from repro.runtime.arena import Arena
 from repro.runtime.closures import signature_of
-from repro.runtime.costmodel import CostModel, Phase
+from repro.runtime.costmodel import CLOSURE_CACHE_PROBE, CostModel
 from repro.target.cpu import Function, Machine
 from repro.target.isa import wrap32
 from repro.telemetry import metrics as _metrics
@@ -742,7 +742,7 @@ class Process:
         """
         cache = self.codecache
         memory = self.machine.memory
-        self.cost.charge(Phase.CLOSURE, "cache_probe")
+        self.cost.charge(CLOSURE_CACHE_PROBE)
         hit = cache.lookup(signature, memory)
         if hit is not None:
             self.last_codegen_stats = self.cost.end_instantiation()
@@ -757,18 +757,18 @@ class Process:
         found = cache.match_template(signature, memory, self.machine.code)
         if found is None:
             return None
-        template, body = found
+        template, records = found
         machine = self.machine
         machine.code.mark()
         try:
-            entry = cache.instantiate_template(template, body, signature,
-                                               machine, self.cost)
+            entry = cache.instantiate_template(records, signature, machine,
+                                               self.cost)
             machine.code.link()
             # The template audit always runs: it is the publish gate that
             # keeps a partially emitted / mis-patched clone from becoming
             # callable, independent of the verify mode.
-            codeaudit.run_template(machine, template, body, signature,
-                                   entry, where=f"template@{entry}")
+            codeaudit.run_template(machine, records, signature, entry,
+                                   where=f"template@{entry}")
             if self.verify != "off":
                 codeaudit.run_range(machine, entry, machine.code.here,
                                     where=f"template@{entry}")
@@ -793,10 +793,11 @@ class Process:
             self.cost.begin_instantiation()
             raise
         machine.code.commit()
-        cache.store_patched(signature, template, entry, machine.code.here)
+        cache.store_patched(signature, template, records, entry,
+                            machine.code.here)
         self.last_codegen_stats = self.cost.end_instantiation()
         report.record_cache_patch(
-            len(template.holes) * BYTES_PER_HOLE,
+            len(records.holes) * BYTES_PER_HOLE,
             template.cold_cycles - self.last_codegen_stats.total_cycles(),
         )
         self._compile_path = "patched"

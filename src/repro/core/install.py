@@ -19,7 +19,7 @@ emitted, before the set of saved registers is final.
 
 from __future__ import annotations
 
-from repro.runtime.costmodel import Phase
+from repro.runtime.costmodel import LINK_FACT_CHECK, LINK_PATCH
 from repro.target.isa import (
     ALLOCATABLE_FREGS, CHECKED_TO_SAFE, Instruction, Op, Reg,
 )
@@ -190,7 +190,7 @@ def install_function(machine, cost, body, labels, epilogue_label,
     if do_link:
         patched = segment.link()
         if cost is not None:
-            cost.charge(Phase.LINK, "patch", max(patched, 1))
+            cost.charge(LINK_PATCH, max(patched, 1))
     if recorder is not None and do_link:
         recorder.snapshot(segment)
     if verify != "off" and do_link:
@@ -201,7 +201,7 @@ def install_function(machine, cost, body, labels, epilogue_label,
 
         if do_link:
             if cost is not None:
-                cost.charge(Phase.LINK, "fact_check", len(all_facts))
+                cost.charge(LINK_FACT_CHECK, len(all_facts))
             factcheck.run_function(machine, entry, end, all_facts,
                                    where=name or f"fn@{entry}")
         else:

@@ -25,7 +25,7 @@ from repro.frontend import cast
 from repro.frontend import typesys as T
 from repro.frontend.sema import Builtin
 from repro.runtime.closures import CaptureKind, Closure, Vspec
-from repro.runtime.costmodel import Phase
+from repro.runtime.costmodel import CLOSURE_ALLOC, CLOSURE_CAPTURE
 from repro.target.isa import wrap32
 
 
@@ -544,7 +544,7 @@ class Interp:
         (tcc 4.3)."""
         cost = self.process.cost
         closure = Closure(e.cgf, label=e.cgf.label)
-        cost.charge(Phase.CLOSURE, "alloc")
+        cost.charge(CLOSURE_ALLOC)
         self.process.closure_arena.alloc(closure.modeled_size())
         for cap in e.captures.values():
             decl = cap.decl
@@ -561,14 +561,14 @@ class Interp:
             else:  # CSPEC / VSPEC
                 closure.capture(cap.name, cap.kind,
                                 self._cell_of(decl, frame).load(self))
-            cost.charge(Phase.CLOSURE, "capture")
+            cost.charge(CLOSURE_CAPTURE)
         for dollar in e.dollars:
             if dollar.spectime:
                 value = self.eval(dollar.expr, frame)
                 if T.decay(dollar.expr.ty).is_float():
                     value = float(value)
                 closure.slots[dollar_key(dollar.slot)] = value
-                cost.charge(Phase.CLOSURE, "capture")
+                cost.charge(CLOSURE_CAPTURE)
         return closure
 
     def _e_Dollar(self, e, frame):
@@ -598,7 +598,7 @@ class Interp:
 
         closure = Closure(LabelCGF(), label="label")
         closure.slots["label"] = DynLabel()
-        self.process.cost.charge(Phase.CLOSURE, "alloc")
+        self.process.cost.charge(CLOSURE_ALLOC)
         return closure
 
     def _e_JumpForm(self, e, frame):
@@ -610,8 +610,8 @@ class Interp:
             raise RuntimeTccError("jump() requires a make_label() cspec")
         closure = Closure(JumpCGF(), label="jump")
         closure.slots["label"] = label_closure.slots["label"]
-        self.process.cost.charge(Phase.CLOSURE, "alloc")
-        self.process.cost.charge(Phase.CLOSURE, "capture")
+        self.process.cost.charge(CLOSURE_ALLOC)
+        self.process.cost.charge(CLOSURE_CAPTURE)
         return closure
 
     def _e_PushInit(self, e, frame):
@@ -636,12 +636,11 @@ class Interp:
             )
         cost = self.process.cost
         closure = Closure(ApplyCGF(), label="apply")
-        cost.charge(Phase.CLOSURE, "alloc")
+        cost.charge(CLOSURE_ALLOC)
         closure.slots["fn"] = fn_val if isinstance(fn_val, (int, FuncRef)) \
             else int(fn_val)
         closure.slots["args"] = list(self.process.pending_args)
-        cost.charge(Phase.CLOSURE, "capture",
-                    1 + len(closure.slots["args"]))
+        cost.charge(CLOSURE_CAPTURE, 1 + len(closure.slots["args"]))
         self.process.pending_args = []
         return closure
 

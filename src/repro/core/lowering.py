@@ -30,7 +30,12 @@ from repro.frontend import cast
 from repro.frontend import typesys as T
 from repro.frontend.sema import Builtin
 from repro.runtime.closures import Vspec
-from repro.runtime.costmodel import Phase
+from repro.runtime.costmodel import (
+    CLOSURE_CGF_CALL,
+    EMIT_LVALUE_CHECK,
+    EMIT_RTCONST_FOLD,
+    IR_RTCONST_FOLD,
+)
 from repro.target.isa import wrap32
 
 _MAX_UNROLL = 1 << 20
@@ -165,6 +170,8 @@ class CodeGen:
         self.backend = ctx.backend
         self.loops: list = []  # (break_label, continue_label)
         self.reorder = ctx.options.get("reorder_cspec_operands", True)
+        self._fold_slot = (EMIT_RTCONST_FOLD if self.backend.kind == "vcode"
+                           else IR_RTCONST_FOLD)
 
     # ------------------------------------------------------------------
     # patch-hole provenance (codecache Tier 2)
@@ -272,7 +279,7 @@ class CodeGen:
         if binding is not None:
             if isinstance(binding, VspecBinding):
                 handle = self.backend.vspec_storage(binding.vspec)
-                self.ctx.cost.charge(Phase.EMIT, "lvalue_check")
+                self.ctx.cost.charge(EMIT_LVALUE_CHECK)
                 return RegLV(handle, binding.vspec.cls, is_vspec=True)
             return binding
         # Dynamic local declared in the tick body: allocate on first touch.
@@ -464,15 +471,12 @@ class CodeGen:
         ctx = self.ctx
         if ctx.in_tick and not isinstance(e, (cast.IntLit, cast.FloatLit)) \
                 and self._etc_ready(e):
-            ctx.cost.charge(self._fold_phase(), "rtconst_fold")
+            ctx.cost.charge(self._fold_slot)
             return Imm(self.emit_eval(e), cls_of(e.ty))
-        method = getattr(self, "_g_" + type(e).__name__, None)
-        if method is None:
+        handler = _EXPR_HANDLERS.get(type(e))
+        if handler is None:
             raise CodegenError(f"cannot lower {type(e).__name__}")
-        return method(e)
-
-    def _fold_phase(self):
-        return Phase.EMIT if self.backend.kind == "vcode" else Phase.IR
+        return handler(self, e)
 
     def _etc_ready(self, e) -> bool:
         """Emission-time computable *and* every derived-RTC variable it
@@ -480,10 +484,12 @@ class CodeGen:
         loop runs dynamically, e.g. with the unrolling ablation off)."""
         if not e.etc:
             return False
-        for node in cast.walk(e):
-            if isinstance(node, cast.Ident) and \
-                    getattr(node.decl, "derived_rtc", False) and \
-                    id(node.decl) not in self.ctx.emit_env:
+        decls = e.rtc_decls
+        if decls is None:
+            decls = e.rtc_decls = _derived_rtc_decls(e)
+        emit_env = self.ctx.emit_env
+        for decl in decls:
+            if id(decl) not in emit_env:
                 return False
         return True
 
@@ -516,7 +522,7 @@ class CodeGen:
         """Compose a nested cspec: invoke its CGF against the shared back
         end (tcc 4.4: implemented simply by invoking b's CGF from within
         a's CGF)."""
-        self.ctx.cost.charge(Phase.CLOSURE, "cgf_call")
+        self.ctx.cost.charge(CLOSURE_CGF_CALL)
         return closure.cgf.emit_into(self.ctx, closure)
 
     def _address_of(self, lv: MemLV):
@@ -930,7 +936,7 @@ class CodeGen:
         return self.load_lval(self.gen_lvalue(e))
 
     def _g_Dollar(self, e):
-        self.ctx.cost.charge(self._fold_phase(), "rtconst_fold")
+        self.ctx.cost.charge(self._fold_slot)
         if e.spectime:
             return Imm(self.ctx.dollar_values[e.slot], cls_of(e.ty))
         return Imm(self.emit_eval(e.expr), cls_of(e.ty))
@@ -1155,10 +1161,10 @@ class CodeGen:
     # ------------------------------------------------------------------
 
     def gen_stmt(self, node) -> None:
-        method = getattr(self, "_s_" + type(node).__name__, None)
-        if method is None:
+        handler = _STMT_HANDLERS.get(type(node))
+        if handler is None:
             raise CodegenError(f"cannot lower statement {type(node).__name__}")
-        method(node)
+        handler(self, node)
 
     def _s_Block(self, node) -> None:
         for stmt in node.stmts:
@@ -1202,7 +1208,7 @@ class CodeGen:
         if self.ctx.in_tick and node.emission_time and \
                 self._etc_ready(node.cond):
             # Emission-time dead-code elimination (tcc 4.4).
-            self.ctx.cost.charge(self._fold_phase(), "rtconst_fold")
+            self.ctx.cost.charge(self._fold_slot)
             cond = self.emit_eval(node.cond)
             self._pin(cond)  # DCE choice steered by the value
             if cond:
@@ -1293,7 +1299,7 @@ class CodeGen:
             bound = self.emit_eval(node.cond.right)
             self._pin(bound)
             bound = wrap32(int(bound))
-            ctx.cost.charge(self._fold_phase(), "rtconst_fold")
+            ctx.cost.charge(self._fold_slot)
             if not _compare(relop, value, bound):
                 break
             iterations += 1
@@ -1456,6 +1462,12 @@ def _unsigned_int(lty: T.CType, rty: T.CType) -> bool:
 
 
 def _contains_cspec_ref(expr) -> bool:
+    if expr.cspec_ref is None:
+        expr.cspec_ref = _names_spec(expr)
+    return expr.cspec_ref
+
+
+def _names_spec(expr) -> bool:
     for node in cast.walk(expr):
         if isinstance(node, cast.Ident):
             decl = node.decl
@@ -1463,3 +1475,26 @@ def _contains_cspec_ref(expr) -> bool:
             if ty is not None and (ty.is_cspec() or ty.is_vspec()):
                 return True
     return False
+
+
+def _derived_rtc_decls(expr) -> tuple:
+    """The distinct derived-RTC declarations ``expr`` mentions."""
+    decls = {}
+    for node in cast.walk(expr):
+        if isinstance(node, cast.Ident) and \
+                getattr(node.decl, "derived_rtc", False):
+            decls[id(node.decl)] = node.decl
+    return tuple(decls.values())
+
+
+def _handlers(prefix: str) -> dict:
+    """AST node class -> the ``CodeGen`` method named ``prefix`` + its
+    class name, so the walk dispatches without building a name per
+    node."""
+    return {getattr(cast, name[len(prefix):]): handler
+            for name, handler in vars(CodeGen).items()
+            if name.startswith(prefix)}
+
+
+_EXPR_HANDLERS = _handlers("_g_")
+_STMT_HANDLERS = _handlers("_s_")

@@ -33,13 +33,18 @@ class Node:
 
 
 class Expr(Node):
-    __slots__ = ("ty", "lvalue", "etc")
+    __slots__ = ("ty", "lvalue", "etc", "rtc_decls", "cspec_ref")
 
     def __init__(self, loc=None):
         super().__init__(loc)
         self.ty = None       # CType, set by sema
         self.lvalue = False  # is this an lvalue?
         self.etc = False     # emission-time computable (inside a tick)
+        # Static facts of the subtree, filled in by the lowering on first
+        # use (they depend only on what sema fixed): the derived-RTC
+        # decls it mentions, and whether it names a cspec or vspec.
+        self.rtc_decls = None
+        self.cspec_ref = None
 
 
 class IntLit(Expr):

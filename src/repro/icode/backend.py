@@ -28,7 +28,13 @@ from repro.icode.linearscan import linear_scan
 from repro.icode.liveness import compute_liveness
 from repro.icode import optim
 from repro.icode.peephole import peephole
-from repro.runtime.costmodel import Phase
+from repro.runtime.costmodel import (
+    IR_RECORD,
+    IR_VREG,
+    TRANSLATE_ELIDE,
+    TRANSLATE_INSTR,
+    TRANSLATE_SPILL_CODE,
+)
 from repro.target.isa import (
     ALLOCATABLE_FREGS,
     ALLOCATABLE_REGS,
@@ -131,7 +137,7 @@ class IcodeBackend:
     # -- registers -------------------------------------------------------------
 
     def alloc_reg(self, cls: str = "i") -> VReg:
-        self.cost.charge(Phase.IR, "vreg")
+        self.cost.charge(IR_VREG)
         return self.ir.new_vreg(cls)
 
     def free_reg(self, handle) -> None:
@@ -163,7 +169,7 @@ class IcodeBackend:
 
     def _record(self, instr: IRInstr) -> None:
         self.ir.append(instr)
-        self.cost.charge(Phase.IR, "record")
+        self.cost.charge(IR_RECORD)
         defs, uses = instr.defs_uses()
         for vr in defs:
             self.ir.note_use(vr, self._weight)
@@ -429,10 +435,10 @@ class IcodeBackend:
             if elide_frame:
                 out = emit(CHECKED_TO_SAFE[op], reg, Reg.SP, offset)
                 raw_facts.append(("frame", out, offset))
-                cost.charge(Phase.TRANSLATE, "elide")
+                cost.charge(TRANSLATE_ELIDE)
             else:
                 emit(op, reg, Reg.SP, offset)
-            cost.charge(Phase.TRANSLATE, "spill_code")
+            cost.charge(TRANSLATE_SPILL_CODE)
 
         def location(vr: VReg):
             iv = assign.get(vr)
@@ -466,7 +472,7 @@ class IcodeBackend:
                 emit_frame(op, reg, spill_offset(iv.location))
 
         for instr in self.ir.instrs:
-            cost.charge(Phase.TRANSLATE, "instr")
+            cost.charge(TRANSLATE_INSTR)
             op = instr.op
             if op == "label":
                 instr.a.address = len(body)
@@ -528,7 +534,7 @@ class IcodeBackend:
                 if mark is not None and instr.b is None:
                     out = emit(CHECKED_TO_SAFE[op], value, base, instr.c)
                     raw_facts.append(("const", out, mark[0]))
-                    cost.charge(Phase.TRANSLATE, "elide")
+                    cost.charge(TRANSLATE_ELIDE)
                 else:
                     emit(op, value, base, instr.c)
                 continue
@@ -539,7 +545,7 @@ class IcodeBackend:
                 if mark is not None and instr.b is None:
                     out = emit(CHECKED_TO_SAFE[op], reg, base, instr.c)
                     raw_facts.append(("const", out, mark[0]))
-                    cost.charge(Phase.TRANSLATE, "elide")
+                    cost.charge(TRANSLATE_ELIDE)
                 else:
                     emit(op, reg, base, instr.c)
                 dst_commit(instr.a, reg)

@@ -10,7 +10,11 @@ information").
 from __future__ import annotations
 
 from repro.errors import CodegenError
-from repro.runtime.costmodel import Phase
+from repro.runtime.costmodel import (
+    FLOWGRAPH_BLOCK,
+    FLOWGRAPH_EDGE,
+    FLOWGRAPH_INSTR,
+)
 
 
 class BasicBlock:
@@ -39,11 +43,9 @@ class FlowGraph:
         self.instr_block: list[int] = instr_block  # instr index -> block index
 
 
-def build_flowgraph(ir, cost=None) -> FlowGraph:
-    """Build basic blocks, edges, and local def/use sets for ``ir``."""
-    instrs = ir.instrs
+def block_bounds(instrs) -> list:
+    """``(start, end)`` of every basic block of ``instrs``, in order."""
     n = len(instrs)
-    # Find leaders.
     leaders = {0} if n else set()
     for i, instr in enumerate(instrs):
         if instr.op == "label":
@@ -51,11 +53,16 @@ def build_flowgraph(ir, cost=None) -> FlowGraph:
         if instr.ends_block() and i + 1 < n:
             leaders.add(i + 1)
     order = sorted(leaders)
+    return list(zip(order, order[1:] + [n]))
+
+
+def build_flowgraph(ir, cost=None) -> FlowGraph:
+    """Build basic blocks, edges, and local def/use sets for ``ir``."""
+    instrs = ir.instrs
     blocks: list[BasicBlock] = []
-    instr_block = [0] * n
+    instr_block = [0] * len(instrs)
     label_block: dict = {}
-    for bi, start in enumerate(order):
-        end = order[bi + 1] if bi + 1 < len(order) else n
+    for bi, (start, end) in enumerate(block_bounds(instrs)):
         block = BasicBlock(bi, start, end)
         blocks.append(block)
         for i in range(start, end):
@@ -63,8 +70,8 @@ def build_flowgraph(ir, cost=None) -> FlowGraph:
             if instrs[i].op == "label":
                 label_block[id(instrs[i].a)] = bi
         if cost is not None:
-            cost.charge(Phase.FLOWGRAPH, "block")
-            cost.charge(Phase.FLOWGRAPH, "instr", end - start)
+            cost.charge(FLOWGRAPH_BLOCK)
+            cost.charge(FLOWGRAPH_INSTR, end - start)
 
     # Edges (forward references resolved after all blocks are built).
     pending = []
@@ -96,8 +103,7 @@ def build_flowgraph(ir, cost=None) -> FlowGraph:
             for vr in u:
                 if vr not in defs:
                     use.add(vr)
-            for vr in d:
-                defs.add(vr)
+            defs.update(d)
         block.use = use
         block.defs = defs
     return FlowGraph(blocks, label_block, instr_block)
@@ -108,4 +114,4 @@ def _add_edge(blocks, src: int, dst: int, cost) -> None:
         blocks[src].succs.append(dst)
         blocks[dst].preds.append(src)
         if cost is not None:
-            cost.charge(Phase.FLOWGRAPH, "edge")
+            cost.charge(FLOWGRAPH_EDGE)

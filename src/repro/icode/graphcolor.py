@@ -12,7 +12,13 @@ choice (lowest weight/degree spilled first).
 
 from __future__ import annotations
 
-from repro.runtime.costmodel import Phase
+from repro.runtime.costmodel import (
+    REGALLOC_IG_EDGE,
+    REGALLOC_IG_NODE,
+    REGALLOC_IG_PROBE,
+    REGALLOC_SIMPLIFY_STEP,
+    REGALLOC_SPILL,
+)
 
 
 def build_interference(ir, fg, cost=None) -> dict:
@@ -23,7 +29,7 @@ def build_interference(ir, fg, cost=None) -> dict:
         if v not in adjacency:
             adjacency[v] = set()
             if cost is not None:
-                cost.charge(Phase.REGALLOC, "ig_node")
+                cost.charge(REGALLOC_IG_NODE)
         return adjacency[v]
 
     def add_edge(a, b):
@@ -33,7 +39,7 @@ def build_interference(ir, fg, cost=None) -> dict:
             adjacency[a].add(b)
             adjacency[b].add(a)
             if cost is not None:
-                cost.charge(Phase.REGALLOC, "ig_edge")
+                cost.charge(REGALLOC_IG_EDGE)
 
     instrs = ir.instrs
     for block in fg.blocks:
@@ -47,7 +53,7 @@ def build_interference(ir, fg, cost=None) -> dict:
                 if cost is not None and live:
                     # Chaitin's build walks the live set per definition,
                     # whether or not the edges are new.
-                    cost.charge(Phase.REGALLOC, "ig_probe", len(live))
+                    cost.charge(REGALLOC_IG_PROBE, len(live))
                 for l in live:
                     add_edge(d, l)
             live -= set(defs)
@@ -85,7 +91,7 @@ def color_class(vregs, adjacency, registers, weights, slot_alloc, cost=None):
             if n in remaining:
                 degree[n] -= 1
         if cost is not None:
-            cost.charge(Phase.REGALLOC, "simplify_step")
+            cost.charge(REGALLOC_SIMPLIFY_STEP)
 
     assignment: dict = {}
     spill_slots: dict = {}
@@ -103,9 +109,9 @@ def color_class(vregs, adjacency, registers, weights, slot_alloc, cost=None):
             assignment[v] = None
             spill_slots[v] = slot_alloc()
             if cost is not None:
-                cost.charge(Phase.REGALLOC, "spill")
+                cost.charge(REGALLOC_SPILL)
         if cost is not None:
-            cost.charge(Phase.REGALLOC, "simplify_step")
+            cost.charge(REGALLOC_SIMPLIFY_STEP)
     return assignment, spill_slots
 
 

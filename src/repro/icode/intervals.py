@@ -8,7 +8,7 @@ approximation of the exact live ranges ("there may be large portions of
 
 from __future__ import annotations
 
-from repro.runtime.costmodel import Phase
+from repro.runtime.costmodel import INTERVALS_INSTR, INTERVALS_INTERVAL
 
 
 class Interval:
@@ -63,7 +63,7 @@ def build_intervals(ir, fg, cost=None) -> list:
             for vreg in uses:
                 touch(vreg, i)
         if cost is not None:
-            cost.charge(Phase.INTERVALS, "instr", block.end - block.start)
+            cost.charge(INTERVALS_INSTR, block.end - block.start)
 
     intervals = [
         Interval(vreg, first[vreg], last[vreg],
@@ -72,5 +72,5 @@ def build_intervals(ir, fg, cost=None) -> list:
     ]
     intervals.sort(key=lambda iv: (iv.end, iv.start))
     if cost is not None:
-        cost.charge(Phase.INTERVALS, "interval", len(intervals))
+        cost.charge(INTERVALS_INTERVAL, len(intervals))
     return intervals

@@ -13,7 +13,10 @@ with :class:`~repro.core.operands.VReg` operands, or one of a few pseudo-ops
 ``"ret"``
     return ``a`` (or nothing) from the generated function.
 
-``defs``/``uses`` extraction for the dataflow passes lives here too.
+``defs``/``uses`` extraction for the dataflow passes lives here too.  An
+instruction computes them once and caches them; a pass that changes an
+operand after recording goes through :meth:`IRInstr.rewrite`, which drops
+the cache.  The verifiers recompute them from the operands instead.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ _NO_DEF_OPS = STORE_OPS | {Op.BEQZ, Op.BNEZ, Op.JMP, Op.RET, Op.NOP, Op.HALT}
 class IRInstr:
     """One ICODE instruction record."""
 
-    __slots__ = ("op", "a", "b", "c", "target", "args", "ret_cls")
+    __slots__ = ("op", "a", "b", "c", "target", "args", "ret_cls", "_du")
 
     def __init__(self, op, a=None, b=None, c=None, target=None, args=None,
                  ret_cls=None):
@@ -39,18 +42,37 @@ class IRInstr:
         self.target = target    # call target: FuncRef | int | VReg | host name
         self.args = args        # call args: list of (VReg, cls)
         self.ret_cls = ret_cls  # "i" / "f" / None
+        self._du = None         # cached defs_uses()
 
     def is_pseudo(self) -> bool:
         return isinstance(self.op, str)
 
+    def rewrite(self, **fields) -> None:
+        """Overwrite ``op``/``a``/``b``/``c``/``target``/``args`` after
+        recording.  Every such write goes through here, because it drops
+        the cached :meth:`defs_uses`."""
+        for name, value in fields.items():
+            setattr(self, name, value)
+        self._du = None
+
     def defs_uses(self):
-        """Return (defs, uses) as lists of VReg."""
+        """Return (defs, uses) as tuples of VReg, computed on the first
+        call and cached until the next :meth:`rewrite`."""
+        du = self._du
+        if du is None:
+            du = self._du = self.compute_defs_uses()
+        return du
+
+    def compute_defs_uses(self):
+        """(defs, uses) recomputed from the operands, bypassing the
+        cache.  The verifiers use this, so a stale cache shows up as a
+        finding rather than as a silent miscompile."""
         defs: list[VReg] = []
         uses: list[VReg] = []
         op = self.op
         if isinstance(op, str):
             if op == "label":
-                return defs, uses
+                return (), ()
             if op in ("call", "hostcall"):
                 if isinstance(self.target, VReg):
                     uses.append(self.target)
@@ -59,27 +81,26 @@ class IRInstr:
                         uses.append(vr)
                 if isinstance(self.a, VReg):
                     defs.append(self.a)
-                return defs, uses
-            if op == "ret":
+            elif op == "ret":
                 if isinstance(self.a, VReg):
                     uses.append(self.a)
-                return defs, uses
-            if op == "getarg":
+            elif op == "getarg":
                 if isinstance(self.a, VReg):
                     defs.append(self.a)
-                return defs, uses
-            raise AssertionError(f"unknown pseudo op {op!r}")
+            else:
+                raise AssertionError(f"unknown pseudo op {op!r}")
+            return tuple(defs), tuple(uses)
         if op in _NO_DEF_OPS:
             for operand in (self.a, self.b, self.c):
                 if isinstance(operand, VReg):
                     uses.append(operand)
-            return defs, uses
+            return (), tuple(uses)
         if isinstance(self.a, VReg):
             defs.append(self.a)
         for operand in (self.b, self.c):
             if isinstance(operand, VReg):
                 uses.append(operand)
-        return defs, uses
+        return tuple(defs), tuple(uses)
 
     def branch_target(self):
         """The Label this instruction may jump to, if any."""

@@ -15,7 +15,11 @@ later (1999) formulation.
 
 from __future__ import annotations
 
-from repro.runtime.costmodel import Phase
+from repro.runtime.costmodel import (
+    REGALLOC_ACTIVE_OP,
+    REGALLOC_SCAN_STEP,
+    REGALLOC_SPILL,
+)
 
 
 def linear_scan(intervals, registers, slot_alloc, cost=None) -> int:
@@ -36,7 +40,7 @@ def linear_scan(intervals, registers, slot_alloc, cost=None) -> int:
         while nonlocal_active:
             j = nonlocal_active[-1]
             if cost is not None:
-                cost.charge(Phase.REGALLOC, "active_op")
+                cost.charge(REGALLOC_ACTIVE_OP)
             if j.start <= current.end:
                 return
             nonlocal_active.pop()
@@ -46,7 +50,7 @@ def linear_scan(intervals, registers, slot_alloc, cost=None) -> int:
         # The longest active interval is the one with the earliest start.
         j = active[0]
         if cost is not None:
-            cost.charge(Phase.REGALLOC, "active_op")
+            cost.charge(REGALLOC_ACTIVE_OP)
         if j.start < current.start:
             reg = j.reg
             j.reg = None
@@ -66,11 +70,11 @@ def linear_scan(intervals, registers, slot_alloc, cost=None) -> int:
                 hi = mid
         active.insert(lo, interval)
         if cost is not None:
-            cost.charge(Phase.REGALLOC, "active_op")
+            cost.charge(REGALLOC_ACTIVE_OP)
 
     for interval in reversed(intervals):
         if cost is not None:
-            cost.charge(Phase.REGALLOC, "scan_step")
+            cost.charge(REGALLOC_SCAN_STEP)
         expire_old_intervals(interval)
         if free:
             reg = free.pop()
@@ -78,7 +82,7 @@ def linear_scan(intervals, registers, slot_alloc, cost=None) -> int:
             reg = spill_longest_interval(interval)
             spilled += 1
             if cost is not None:
-                cost.charge(Phase.REGALLOC, "spill")
+                cost.charge(REGALLOC_SPILL)
         if reg is not None:
             interval.reg = reg
             add_active(interval)

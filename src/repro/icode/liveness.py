@@ -12,7 +12,11 @@ iterated to a fixpoint over the blocks in reverse order.
 
 from __future__ import annotations
 
-from repro.runtime.costmodel import Phase
+from repro.runtime.costmodel import (
+    LIVENESS_BLOCK_PASS,
+    LIVENESS_INSTR_PASS,
+    LIVENESS_SETOP,
+)
 
 
 def compute_liveness(fg, cost=None) -> int:
@@ -29,10 +33,10 @@ def compute_liveness(fg, cost=None) -> int:
                 live_out |= blocks[s].live_in
             live_in = block.use | (live_out - block.defs)
             if cost is not None:
-                cost.charge(Phase.LIVENESS, "block_pass")
-                cost.charge(Phase.LIVENESS, "instr_pass", block.end - block.start)
+                cost.charge(LIVENESS_BLOCK_PASS)
+                cost.charge(LIVENESS_INSTR_PASS, block.end - block.start)
                 cost.charge(
-                    Phase.LIVENESS, "setop",
+                    LIVENESS_SETOP,
                     len(live_out) + len(live_in) + len(block.use),
                 )
             if live_out != block.live_out or live_in != block.live_in:

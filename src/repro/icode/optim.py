@@ -1,15 +1,16 @@
 """Block-local IR optimizations: constant/copy propagation and dead-code
 elimination.
 
-These run before register allocation.  The *static* gcc-level pipeline uses
-them (our stand-in for the GNU CC baseline); the dynamic ICODE back end does
-not, matching the paper's description of ICODE as performing register
-allocation plus peephole work only.
+These run before register allocation, in the *static* gcc-level pipeline
+(our stand-in for the GNU CC baseline) and in the dynamic ICODE back end,
+which charges each round to the cost model (``IR_OPTIMIZE``).
 """
 
 from __future__ import annotations
 
 from repro.core.operands import VReg
+from repro.icode.flowgraph import block_bounds
+from repro.runtime.costmodel import IR_OPTIMIZE
 from repro.target.isa import Op, wrap32
 
 #: ops with an immediate twin: reg-form -> (imm-form, python function)
@@ -54,16 +55,16 @@ _IMM_FOLD = {
 _MEM_BASE_OPS = frozenset((Op.LW, Op.LB, Op.LBU, Op.SW, Op.SB,
                            Op.FLW, Op.FSW))
 
-_PURE_PSEUDOS = frozenset()
+#: Target ops with an effect besides writing their destination.
+_EFFECT_OPS = frozenset((Op.SW, Op.SB, Op.FSW, Op.JMP, Op.BEQZ, Op.BNEZ,
+                         Op.RET, Op.HALT, Op.CALL, Op.CALLR, Op.HOSTCALL,
+                         Op.NOP))
 
 
 def _is_pure(instr) -> bool:
     """Instruction has no effect besides writing its destination vreg."""
     op = instr.op
-    if isinstance(op, str):
-        return False
-    if op in (Op.SW, Op.SB, Op.FSW, Op.JMP, Op.BEQZ, Op.BNEZ, Op.RET,
-              Op.HALT, Op.CALL, Op.CALLR, Op.HOSTCALL, Op.NOP):
+    if isinstance(op, str) or op in _EFFECT_OPS:
         return False
     # Loads are pure in this IR (no volatile memory).
     return isinstance(instr.a, VReg)
@@ -81,6 +82,8 @@ def propagate_block(ir, start: int, end: int, recorder=None,
     rewrites = 0
 
     def resolve(v):
+        if v not in copies:
+            return v
         seen = set()
         while v in copies and v not in seen:
             seen.add(v)
@@ -89,9 +92,10 @@ def propagate_block(ir, start: int, end: int, recorder=None,
 
     def kill(v):
         consts.pop(v, None)
-        copies.pop(v, None)
-        for key in [k for k, val in copies.items() if val == v]:
-            del copies[key]
+        if copies:
+            copies.pop(v, None)
+            for key in [k for k, val in copies.items() if val == v]:
+                del copies[key]
 
     for i in range(start, end):
         instr = instrs[i]
@@ -100,18 +104,25 @@ def propagate_block(ir, start: int, end: int, recorder=None,
             if op in ("call", "hostcall"):
                 if instr.args:
                     new_args = []
+                    changed = 0
                     for vr, cls in instr.args:
                         root = resolve(vr) if isinstance(vr, VReg) else vr
                         if root is not vr:
-                            rewrites += 1
+                            changed += 1
                         new_args.append((root, cls))
-                    instr.args = new_args
+                    if changed:
+                        instr.rewrite(args=new_args)
+                        rewrites += changed
                 if isinstance(instr.target, VReg):
-                    instr.target = resolve(instr.target)
+                    root = resolve(instr.target)
+                    if root is not instr.target:
+                        instr.rewrite(target=root)
                 if isinstance(instr.a, VReg):
                     kill(instr.a)
             elif op == "ret" and isinstance(instr.a, VReg):
-                instr.a = resolve(instr.a)
+                root = resolve(instr.a)
+                if root is not instr.a:
+                    instr.rewrite(a=root)
             elif op == "getarg" and isinstance(instr.a, VReg):
                 kill(instr.a)
             continue
@@ -121,7 +132,7 @@ def propagate_block(ir, start: int, end: int, recorder=None,
             if isinstance(v, VReg):
                 root = resolve(v)
                 if root is not v:
-                    setattr(instr, field, root)
+                    instr.rewrite(**{field: root})
                     rewrites += 1
         if (fold_mem_base and op in _MEM_BASE_OPS
                 and isinstance(instr.b, VReg) and instr.b in consts
@@ -136,12 +147,13 @@ def propagate_block(ir, start: int, end: int, recorder=None,
                 if recorder is not None:
                     folded = recorder.fold_binary("+", base_const,
                                                   instr.c, folded)
-                instr.b = None
-                instr.c = folded
+                instr.rewrite(b=None, c=folded)
                 rewrites += 1
         if op in (Op.SW, Op.SB, Op.FSW, Op.BEQZ, Op.BNEZ):
             if isinstance(instr.a, VReg):
-                instr.a = resolve(instr.a)
+                root = resolve(instr.a)
+                if root is not instr.a:
+                    instr.rewrite(a=root)
             continue
         if op in (Op.JMP, Op.RET, Op.HALT, Op.NOP):
             continue
@@ -149,8 +161,7 @@ def propagate_block(ir, start: int, end: int, recorder=None,
         # Fold register forms to immediate forms, and immediates to LI.
         if op in _FOLDABLE and isinstance(instr.c, VReg) and instr.c in consts:
             imm_op, fn = _FOLDABLE[op]
-            instr.op = imm_op
-            instr.c = consts[instr.c]
+            instr.rewrite(op=imm_op, c=consts[instr.c])
             op = imm_op
             rewrites += 1
         if op in _IMM_FOLD and isinstance(instr.b, VReg) and instr.b in consts:
@@ -160,8 +171,7 @@ def propagate_block(ir, start: int, end: int, recorder=None,
                 recorder.pin_value(consts[instr.b])
                 recorder.pin_value(instr.c)
             value = wrap32(_IMM_FOLD[op](consts[instr.b], instr.c))
-            instr.op = Op.LI
-            instr.a, instr.b, instr.c = dst, value, None
+            instr.rewrite(op=Op.LI, a=dst, b=value, c=None)
             op = Op.LI
             rewrites += 1
         if isinstance(dst, VReg):
@@ -171,8 +181,7 @@ def propagate_block(ir, start: int, end: int, recorder=None,
             elif op is Op.MOV and isinstance(instr.b, VReg):
                 src = instr.b
                 if src in consts:
-                    instr.op = Op.LI
-                    instr.b = consts[src]
+                    instr.rewrite(op=Op.LI, b=consts[src])
                     consts[dst] = instr.b
                     rewrites += 1
                 else:
@@ -208,8 +217,7 @@ def fold_dead_branches(ir, verdicts, recorder=None) -> int:
                 recorder.pin(origin)
         folded += 1
         if taken:
-            instr.op = Op.JMP
-            instr.a, instr.b, instr.c = instr.b, None, None
+            instr.rewrite(op=Op.JMP, a=instr.b, b=None, c=None)
             keep.append(instr)
         # Never-taken branches simply disappear.
     if folded:
@@ -228,12 +236,12 @@ def eliminate_dead_code(ir, fg) -> int:
         for i in range(block.end - 1, block.start - 1, -1):
             instr = instrs[i]
             defs, uses = instr.defs_uses()
-            if _is_pure(instr) and defs and all(d not in live for d in defs):
+            if defs and live.isdisjoint(defs) and _is_pure(instr):
                 dead_indices.add(i)
                 removed += 1
                 continue
-            live -= set(defs)
-            live |= set(uses)
+            live.difference_update(defs)
+            live.update(uses)
     if dead_indices:
         ir.instrs = [
             instr for i, instr in enumerate(instrs) if i not in dead_indices
@@ -248,16 +256,16 @@ def optimize(ir, fg_builder, liveness_fn, rounds: int = 3, cost=None,
     ``liveness_fn`` are injected to avoid circular imports.  ``verifier``,
     when given, is called with a pass name after every optimization round
     so paranoid mode can re-check IR well-formedness between passes."""
-    from repro.runtime.costmodel import Phase
-
     for round_no in range(rounds):
         if cost is not None:
-            cost.charge(Phase.IR, "optimize", len(ir.instrs))
-        fg = fg_builder(ir, None)
+            cost.charge(IR_OPTIMIZE, len(ir.instrs))
         work = 0
-        for block in fg.blocks:
-            work += propagate_block(ir, block.start, block.end, recorder,
+        for start, end in block_bounds(ir.instrs):
+            work += propagate_block(ir, start, end, recorder,
                                     fold_mem_base=fold_mem_base)
+        # Propagation rewrites operands but never a label, jump, branch
+        # opcode or return, so it keeps the block bounds it ran over; the
+        # one graph per round is built after it, for liveness and DCE.
         fg = fg_builder(ir, None)
         liveness_fn(fg, None)
         work += eliminate_dead_code(ir, fg)

@@ -15,11 +15,16 @@ ICODE 1000-2500 cycles per generated instruction, with 70-80% of ICODE's cost
 in register allocation and liveness.  All *comparative* results (VCODE vs
 ICODE, linear scan vs graph coloring, per-benchmark differences) follow from
 the measured event counts, not from the calibration.
+
+Each ``(phase, event)`` key has an integer slot, exported as a constant
+such as :data:`IR_RECORD`; back ends charge by slot, and every per-phase
+or per-event figure is derived from the per-slot counts.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from collections import defaultdict
 
 
@@ -94,22 +99,86 @@ DEFAULT_WEIGHTS = {
 }
 
 
-class CodegenStats:
-    """Accumulated per-phase cycle counts for one instantiation."""
+#: Every ``DEFAULT_WEIGHTS`` key numbered, in declaration order.  A
+#: charge names its event by slot, so counting it is one list add.
+_SLOT_KEYS = tuple(DEFAULT_WEIGHTS)
+_SLOT_PHASES = tuple(phase for phase, _event in _SLOT_KEYS)
+_SLOT_WEIGHTS = tuple(DEFAULT_WEIGHTS.values())
 
-    def __init__(self, weights=None):
-        self.weights = DEFAULT_WEIGHTS if weights is None else weights
-        self.cycles = defaultdict(int)   # phase -> cycles
-        self.events = defaultdict(int)   # (phase, event) -> count
+
+def _slot(phase: Phase, event: str) -> int:
+    return _SLOT_KEYS.index((phase, event))
+
+
+CLOSURE_ALLOC = _slot(Phase.CLOSURE, "alloc")
+CLOSURE_CAPTURE = _slot(Phase.CLOSURE, "capture")
+CLOSURE_CGF_CALL = _slot(Phase.CLOSURE, "cgf_call")
+EMIT_INSTR = _slot(Phase.EMIT, "instr")
+EMIT_LVALUE_CHECK = _slot(Phase.EMIT, "lvalue_check")
+EMIT_GETREG = _slot(Phase.EMIT, "getreg")
+EMIT_PUTREG = _slot(Phase.EMIT, "putreg")
+EMIT_RTCONST_FOLD = _slot(Phase.EMIT, "rtconst_fold")
+IR_RECORD = _slot(Phase.IR, "record")
+IR_VREG = _slot(Phase.IR, "vreg")
+IR_RTCONST_FOLD = _slot(Phase.IR, "rtconst_fold")
+IR_OPTIMIZE = _slot(Phase.IR, "optimize")
+IR_ANALYSIS = _slot(Phase.IR, "analysis")
+FLOWGRAPH_BLOCK = _slot(Phase.FLOWGRAPH, "block")
+FLOWGRAPH_INSTR = _slot(Phase.FLOWGRAPH, "instr")
+FLOWGRAPH_EDGE = _slot(Phase.FLOWGRAPH, "edge")
+LIVENESS_BLOCK_PASS = _slot(Phase.LIVENESS, "block_pass")
+LIVENESS_INSTR_PASS = _slot(Phase.LIVENESS, "instr_pass")
+LIVENESS_SETOP = _slot(Phase.LIVENESS, "setop")
+INTERVALS_INSTR = _slot(Phase.INTERVALS, "instr")
+INTERVALS_INTERVAL = _slot(Phase.INTERVALS, "interval")
+REGALLOC_SCAN_STEP = _slot(Phase.REGALLOC, "scan_step")
+REGALLOC_ACTIVE_OP = _slot(Phase.REGALLOC, "active_op")
+REGALLOC_SPILL = _slot(Phase.REGALLOC, "spill")
+REGALLOC_IG_NODE = _slot(Phase.REGALLOC, "ig_node")
+REGALLOC_IG_EDGE = _slot(Phase.REGALLOC, "ig_edge")
+REGALLOC_IG_PROBE = _slot(Phase.REGALLOC, "ig_probe")
+REGALLOC_SIMPLIFY_STEP = _slot(Phase.REGALLOC, "simplify_step")
+REGALLOC_REWRITE = _slot(Phase.REGALLOC, "rewrite")
+TRANSLATE_INSTR = _slot(Phase.TRANSLATE, "instr")
+TRANSLATE_SPILL_CODE = _slot(Phase.TRANSLATE, "spill_code")
+TRANSLATE_ELIDE = _slot(Phase.TRANSLATE, "elide")
+LINK_PATCH = _slot(Phase.LINK, "patch")
+LINK_FACT_CHECK = _slot(Phase.LINK, "fact_check")
+CLOSURE_CACHE_PROBE = _slot(Phase.CLOSURE, "cache_probe")
+PATCH_COPY_INSTR = _slot(Phase.PATCH, "copy_instr")
+PATCH_HOLE = _slot(Phase.PATCH, "hole")
+PATCH_GUARD = _slot(Phase.PATCH, "guard")
+
+
+class CodegenStats:
+    """Accumulated per-slot event counts for one instantiation; every
+    cycle figure is derived from them."""
+
+    def __init__(self):
+        self.counts = [0] * len(_SLOT_KEYS)     # slot -> event count
         self.generated_instructions = 0
 
-    def charge(self, phase: Phase, event: str, count: int = 1) -> None:
-        weight = self.weights[(phase, event)]
-        self.cycles[phase] += weight * count
-        self.events[(phase, event)] += count
+    def charge(self, slot: int, count: int = 1) -> None:
+        self.counts[slot] += count
+
+    @property
+    def events(self) -> dict:
+        """(phase, event) -> count, 0 for an event that never happened."""
+        return defaultdict(int, {key: count for key, count
+                                 in zip(_SLOT_KEYS, self.counts) if count})
+
+    @property
+    def cycles(self) -> dict:
+        """Phase -> cycles, 0 for a phase nothing charged."""
+        cycles = defaultdict(int)
+        for phase, weight, count in zip(_SLOT_PHASES, _SLOT_WEIGHTS,
+                                        self.counts):
+            if count:
+                cycles[phase] += weight * count
+        return cycles
 
     def total_cycles(self) -> int:
-        return sum(self.cycles.values())
+        return sum(map(operator.mul, _SLOT_WEIGHTS, self.counts))
 
     def cycles_per_instruction(self) -> float:
         if self.generated_instructions == 0:
@@ -126,14 +195,11 @@ class CodegenStats:
         """Phase -> raw cycle total, in canonical :class:`Phase` order
         (the exact numbers the telemetry tracer tiles a compile span
         with)."""
-        return {phase: self.cycles[phase] for phase in Phase
-                if self.cycles.get(phase)}
+        cycles = self.cycles
+        return {phase: cycles[phase] for phase in Phase if cycles[phase]}
 
     def merge(self, other: "CodegenStats") -> None:
-        for phase, cyc in other.cycles.items():
-            self.cycles[phase] += cyc
-        for key, count in other.events.items():
-            self.events[key] += count
+        self.counts = list(map(operator.add, self.counts, other.counts))
         self.generated_instructions += other.generated_instructions
 
     def __repr__(self) -> str:
@@ -151,23 +217,22 @@ class CostModel:
     totals into ``lifetime``.
     """
 
-    def __init__(self, weights=None):
-        self.weights = DEFAULT_WEIGHTS if weights is None else weights
-        self.current = CodegenStats(self.weights)
-        self.lifetime = CodegenStats(self.weights)
+    def __init__(self):
+        self.current = CodegenStats()
+        self.lifetime = CodegenStats()
 
     def begin_instantiation(self) -> CodegenStats:
-        self.current = CodegenStats(self.weights)
+        self.current = CodegenStats()
         return self.current
 
     def end_instantiation(self) -> CodegenStats:
         finished = self.current
         self.lifetime.merge(finished)
-        self.current = CodegenStats(self.weights)
+        self.current = CodegenStats()
         return finished
 
-    def charge(self, phase: Phase, event: str, count: int = 1) -> None:
-        self.current.charge(phase, event, count)
+    def charge(self, slot: int, count: int = 1) -> None:
+        self.current.counts[slot] += count
 
     def note_instruction(self, count: int = 1) -> None:
         self.current.generated_instructions += count

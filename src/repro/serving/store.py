@@ -159,13 +159,20 @@ class TemplateStore:
         return self.disk is not None and self.disk.corrupt_first()
 
     def tamper_first(self) -> bool:
-        """Chaos hook: corrupt one operand of one stored template in
-        place (simulated cache poisoning).  Returns True when a template
+        """Chaos hook: corrupt one stored template in place (simulated
+        cache poisoning): the addend of its first patch hole when it has
+        one, else one operand of its body.  Returns True when a template
         was found to tamper with."""
         for lock, shapes in self._stripes:
             with lock:
                 for bucket in shapes.values():
                     for template in bucket:
+                        if template.holes:
+                            rel, field, org, scl, add, is_float = \
+                                template.holes[0]
+                            template.holes[0] = (rel, field, org, scl,
+                                                 add + 1, is_float)
+                            return True
                         if template.instructions:
                             instr = template.instructions[0]
                             instr.a = (instr.a + 1 if isinstance(instr.a, int)

@@ -173,6 +173,13 @@ class Op(enum.Enum):
     CVTFI = enum.auto()      # cvtfi rd, fs  (truncates toward zero)
 
 
+# Identity hashing in C: ``Enum.__hash__`` runs Python code on every
+# ``op in SET`` and Op-keyed dict probe.  Set here, before any such set
+# or dict exists.  Nothing may depend on the iteration order of an Op
+# set or dict.
+Op.__hash__ = object.__hash__
+
+
 #: Ops that write memory (the IR needs to know they define no register).
 STORE_OPS = {Op.SW, Op.SB, Op.FSW, Op.SWS, Op.SBS, Op.FSWS}
 

@@ -19,7 +19,12 @@ from repro.core.install import install_function, spill_offset
 from repro.core.operands import FuncRef, PReg, Spill
 from repro.errors import CodegenError
 from repro.verify import ircheck
-from repro.runtime.costmodel import Phase
+from repro.runtime.costmodel import (
+    EMIT_GETREG,
+    EMIT_INSTR,
+    EMIT_LVALUE_CHECK,
+    EMIT_PUTREG,
+)
 from repro.target.isa import (
     ALLOCATABLE_FREGS,
     ALLOCATABLE_REGS,
@@ -110,7 +115,7 @@ class VcodeBackend:
     def alloc_reg(self, cls: str = "i"):
         """getreg: a physical register, or a spilled location when none
         remain."""
-        self.cost.charge(Phase.EMIT, "getreg")
+        self.cost.charge(EMIT_GETREG)
         pool = self._free_i if cls == "i" else self._free_f
         if pool:
             num = pool.pop()
@@ -135,7 +140,7 @@ class VcodeBackend:
         """putreg."""
         if handle is None:
             return
-        self.cost.charge(Phase.EMIT, "putreg")
+        self.cost.charge(EMIT_PUTREG)
         if isinstance(handle, PReg):
             pool = self._free_i if handle.cls == "i" else self._free_f
             pool.append(handle.num)
@@ -166,7 +171,7 @@ class VcodeBackend:
 
     def _emit(self, op: Op, a=None, b=None, c=None) -> None:
         self.body.append(Instruction(op, a, b, c))
-        self.cost.charge(Phase.EMIT, "instr")
+        self.cost.charge(EMIT_INSTR)
         self.cost.note_instruction()
 
     def _use(self, handle, scratch: int = 0) -> int:
@@ -174,7 +179,7 @@ class VcodeBackend:
         if isinstance(handle, PReg):
             return handle.num
         if isinstance(handle, Spill):
-            self.cost.charge(Phase.EMIT, "lvalue_check")
+            self.cost.charge(EMIT_LVALUE_CHECK)
             if handle.cls == "i":
                 reg = _SCRATCH_I[scratch]
                 self._emit(Op.LW, reg, Reg.SP, spill_offset(handle.idx))
@@ -189,7 +194,7 @@ class VcodeBackend:
         if isinstance(handle, PReg):
             return handle.num
         if isinstance(handle, Spill):
-            self.cost.charge(Phase.EMIT, "lvalue_check")
+            self.cost.charge(EMIT_LVALUE_CHECK)
             return _SCRATCH_I[0] if handle.cls == "i" else _SCRATCH_F[0]
         raise CodegenError(f"bad destination handle {handle!r}")
 

@@ -23,11 +23,11 @@ clone) is linked, audit exactly the range it occupies.
 
 :func:`check_template` replays a Tier-2 instantiation independently: it
 recomputes every hole value (``wrap32(value[origin] * scale + addend)``)
-and every relocation (``old + delta``) from the template's records, the
-checksum-verified body the clone copied, and the new signature, and
-compares against what was actually emitted — catching a skipped or
-mis-applied patch even though patched operands are indistinguishable
-from ordinary immediates once installed.
+and every relocation (``old + delta``) from the checksum-verified
+template records the clone copied and the new signature, and compares
+against what was actually emitted — catching a skipped or mis-applied
+patch even though patched operands are indistinguishable from ordinary
+immediates once installed.
 """
 
 from __future__ import annotations
@@ -116,28 +116,28 @@ def _values_equal(got, expected) -> bool:
     return got == expected
 
 
-def check_template(machine, template, body, signature, new_entry: int,
+def check_template(machine, records, signature, new_entry: int,
                    where: str = "template") -> list:
-    """Replay a Tier-2 instantiation of ``body`` (the template's
-    checked ``(op, a, b, c)`` rows) and diff it against the emitted
-    clone."""
+    """Replay a Tier-2 instantiation of ``records`` (a template's
+    checked :class:`~repro.core.codecache.TemplateRecords`) and diff it
+    against the emitted clone."""
     diags: list = []
     segment = machine.code
-    delta = new_entry - template.entry
-    n = len(body)
+    delta = new_entry - records.entry
+    n = len(records.rows)
     if new_entry + n > len(segment.instructions):
         _diag(diags, "short-clone",
               f"template clone at {new_entry} should span {n} instructions "
               f"but the segment ends at {len(segment.instructions)}", where)
         return diags
     patch_map: dict = {}
-    for rel, field in template.relocs:
+    for rel, field in records.relocs:
         patch_map.setdefault(rel, []).append((field, None))
-    for rel, field, org, scl, add, is_float in template.holes:
+    for rel, field, org, scl, add, is_float in records.holes:
         patch_map.setdefault(rel, []).append((field, (org, scl, add,
                                                       is_float)))
     values = signature.values
-    for rel, (op, a, b, c) in enumerate(body):
+    for rel, (op, a, b, c) in enumerate(records.rows):
         emitted = segment.instructions[new_entry + rel]
         if emitted.op is not op:
             # One substitution is legitimate: clone-time fact
@@ -175,7 +175,7 @@ def run_range(machine, start: int, end: int, where: str = "install") -> None:
     verify.run_checker("codeaudit", check_range, machine, start, end, where)
 
 
-def run_template(machine, template, body, signature, new_entry: int,
+def run_template(machine, records, signature, new_entry: int,
                  where: str = "template") -> None:
-    verify.run_checker("codeaudit", check_template, machine, template,
-                       body, signature, new_entry, where)
+    verify.run_checker("codeaudit", check_template, machine, records,
+                       signature, new_entry, where)

@@ -158,7 +158,7 @@ def check_ir(ir, pass_name: str, storage=_NO_STORAGE) -> list:
     next_vreg = ir.next_vreg
 
     def note_defs_uses(instr):
-        d, u = instr.defs_uses()
+        d, u = instr.compute_defs_uses()
         for vr in u:
             if vr not in defined and vr not in maybe_undefined:
                 maybe_undefined[vr] = instr

@@ -56,9 +56,9 @@ class _MiniBlock:
 
 
 def _build_blocks(ir, du) -> list:
-    """``du[i]`` is ``instrs[i].defs_uses()``, precomputed by the caller
-    (the checker walk needs the same lists; computing them once is the
-    bulk of this layer's cost)."""
+    """``du[i]`` is ``instrs[i].compute_defs_uses()``, precomputed by
+    the caller (the checker walk needs the same tuples; computing them
+    once is the bulk of this layer's cost)."""
     instrs = ir.instrs
     n = len(instrs)
     leaders = {0} if n else set()
@@ -161,7 +161,7 @@ def check_allocation(ir, intervals, where: str = "allocation") -> list:
                     by_slot[(vr.cls, slot)] = vr
 
     instrs = ir.instrs
-    du = [instr.defs_uses() for instr in instrs]
+    du = [instr.compute_defs_uses() for instr in instrs]
     blocks = _build_blocks(ir, du)
     across_call: set = set()
 

@@ -17,6 +17,7 @@ from repro.core.codecache import (
 from repro.errors import VerifyError
 from repro.runtime.costmodel import Phase
 from repro.serving.store import TemplateStore
+from repro.target.isa import Instruction
 from repro.target.memory import Memory
 from repro.telemetry.metrics import REGISTRY
 from tests.conftest import BACKENDS, compile_c
@@ -63,6 +64,21 @@ int build(int n) {
         for (i = 0; i < $n; i = i + 1) s = s + p;
         return s;
     }, int);
+}
+"""
+
+NEGATED = """
+int build(int n) {
+    int vspec p = param(int, 0);
+    return (int)compile(`(p - -$n), int);
+}
+"""
+
+ARRAY_STORE = """
+int a[8];
+int build(int n) {
+    int vspec i = param(int, 0);
+    return (int)compile(`{ a[3] = i; return a[3] + $n; }, int);
 }
 """
 
@@ -141,6 +157,22 @@ class TestTier2Templates:
         body1 = proc.machine.code.instructions[e1:end1]
         body2 = proc.machine.code.instructions[e2:e2 + len(body1)]
         assert [i.op for i in body1] == [i.op for i in body2]
+
+    def test_negated_dollar_is_patched_through_its_hole(self, backend):
+        # `-$n` keeps its provenance through PatchRecorder.negate, so the
+        # template's hole maps the origin with scale -1.
+        report.reset()
+        proc = compile_c(NEGATED, backend=backend)
+        proc.run("build", 10)
+        entry = proc.run("build", 5)
+        assert report.cache_stats()["patched"] == 1
+        cold = compile_c(NEGATED, backend=backend, codecache=False)
+        cold_entry = cold.run("build", 5)
+        f_patched = proc.function(entry, "i", "i")
+        f_cold = cold.function(cold_entry, "i", "i")
+        assert [f_patched(p) for p in (0, 3)] == [5, 8]
+        for arg in (0, 3, -7, 1 << 20):
+            assert f_patched(arg) == f_cold(arg)
 
     def test_patched_float_binding(self, backend):
         report.reset()
@@ -225,6 +257,41 @@ class TestTier2Templates:
         assert e1 == e2 and e1 != e3
         stats = report.cache_stats()
         assert stats["hits"] == 1 and stats["patched"] == 0
+
+
+class TestPatchedCloneFacts:
+    def test_clone_revalidates_its_elision_facts(self, monkeypatch):
+        # Analysis on x Tier-2 patch: the clone re-proves every elision
+        # fact against its patched body before emitting it.  Here no
+        # patched hole moves an address, so every fact survives and the
+        # clone runs exactly like a cold compile, cycle for cycle.
+        revalidated = []
+        original = CodeCache._revalidate_clone
+
+        def spy(clone, new_entry, facts, memory, cost):
+            survivors = original(clone, new_entry, facts, memory, cost)
+            revalidated.append((list(facts), survivors))
+            return survivors
+
+        monkeypatch.setattr(CodeCache, "_revalidate_clone",
+                            staticmethod(spy))
+        report.reset()
+        proc = compile_c(ARRAY_STORE, backend="icode", analysis="on")
+        proc.run("build", 10)
+        entry = proc.run("build", 5)
+        assert report.cache_stats()["patched"] == 1
+        (facts, survivors), = revalidated
+        assert facts and survivors == facts
+        cold = compile_c(ARRAY_STORE, backend="icode", analysis="on",
+                         codecache=False)
+        cold_entry = cold.run("build", 5)
+        f_patched = proc.function(entry, "i", "i")
+        f_cold = cold.function(cold_entry, "i", "i")
+        for arg in (0, 3, -7, 1 << 20):
+            before = proc.machine.cpu.cycles, cold.machine.cpu.cycles
+            assert f_patched(arg) == f_cold(arg) == arg + 5
+            assert (proc.machine.cpu.cycles - before[0]
+                    == cold.machine.cpu.cycles - before[1])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -382,8 +449,8 @@ class TestTransactionalClone:
         seg = proc.machine.code
         before = len(seg.instructions)
 
-        def crash(self, template, body, signature, machine, cost):
-            machine.code.emit(template.instructions[0])   # partial body...
+        def crash(self, records, signature, machine, cost):
+            machine.code.emit(Instruction(*records.rows[0]))  # partial body...
             raise RuntimeError("boom mid-clone")
 
         monkeypatch.setattr(CodeCache, "instantiate_template", crash)
@@ -402,10 +469,10 @@ class TestTransactionalClone:
         proc.run("build", 10)
         seg = proc.machine.code
 
-        def short(self, template, body, signature, machine, cost):
+        def short(self, records, signature, machine, cost):
             entry = machine.code.here
-            for src in template.instructions[:len(template.instructions) // 2]:
-                machine.code.emit(src)
+            for row in records.rows[:len(records.rows) // 2]:
+                machine.code.emit(Instruction(*row))
             return entry
 
         monkeypatch.setattr(CodeCache, "instantiate_template", short)

@@ -42,36 +42,42 @@ def v(i, cls="i"):
 class TestIRDefsUses:
     def test_alu_defs_first_operand(self):
         d, u = IRInstr(Op.ADD, v(0), v(1), v(2)).defs_uses()
-        assert d == [v(0)]
+        assert d == (v(0),)
         assert set(u) == {v(1), v(2)}
 
     def test_store_has_no_defs(self):
         d, u = IRInstr(Op.SW, v(0), v(1), 4).defs_uses()
-        assert d == []
+        assert d == ()
         assert set(u) == {v(0), v(1)}
 
     def test_branch_uses_condition(self):
         d, u = IRInstr(Op.BEQZ, v(3), Label()).defs_uses()
-        assert d == [] and u == [v(3)]
+        assert d == () and u == (v(3),)
 
     def test_call_defs_result_uses_args(self):
         instr = IRInstr("call", v(9), target=v(1),
                         args=[(v(2), "i"), (v(3), "i")], ret_cls="i")
         d, u = instr.defs_uses()
-        assert d == [v(9)]
+        assert d == (v(9),)
         assert set(u) == {v(1), v(2), v(3)}
 
     def test_getarg_defines(self):
         d, u = IRInstr("getarg", v(0), 0, ret_cls="i").defs_uses()
-        assert d == [v(0)] and u == []
+        assert d == (v(0),) and u == ()
 
     def test_label_neither(self):
         d, u = IRInstr("label", Label()).defs_uses()
-        assert d == [] and u == []
+        assert d == () and u == ()
 
     def test_immediate_operands_ignored(self):
         d, u = IRInstr(Op.ADDI, v(0), v(1), 5).defs_uses()
         assert set(u) == {v(1)}
+
+    def test_rewrite_drops_the_cached_answer(self):
+        instr = IRInstr(Op.ADD, v(0), v(1), v(2))
+        assert instr.defs_uses() == ((v(0),), (v(1), v(2)))
+        instr.rewrite(op=Op.ADDI, c=5)
+        assert instr.defs_uses() == ((v(0),), (v(1),))
 
     def test_new_vreg_classes(self):
         ir = IRFunction()

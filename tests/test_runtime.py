@@ -5,7 +5,15 @@ import pytest
 from repro.errors import RuntimeTccError
 from repro.runtime.arena import Arena
 from repro.runtime.closures import CaptureKind, Closure, Vspec
-from repro.runtime.costmodel import CodegenStats, CostModel, Phase
+from repro.runtime.costmodel import (
+    DEFAULT_WEIGHTS,
+    EMIT_INSTR,
+    IR_RECORD,
+    LINK_PATCH,
+    CodegenStats,
+    CostModel,
+    Phase,
+)
 from repro.target.memory import Memory
 
 
@@ -78,44 +86,44 @@ class TestClosure:
 class TestCostModel:
     def test_charge_accumulates(self):
         cm = CostModel()
-        cm.charge(Phase.EMIT, "instr", 3)
-        weight = cm.weights[(Phase.EMIT, "instr")]
+        cm.charge(EMIT_INSTR, 3)
+        weight = DEFAULT_WEIGHTS[(Phase.EMIT, "instr")]
         assert cm.current.cycles[Phase.EMIT] == 3 * weight
 
     def test_cycles_per_instruction(self):
         cm = CostModel()
-        cm.charge(Phase.EMIT, "instr", 10)
+        cm.charge(EMIT_INSTR, 10)
         cm.note_instruction(10)
         assert cm.current.cycles_per_instruction() == \
-            cm.weights[(Phase.EMIT, "instr")]
+            DEFAULT_WEIGHTS[(Phase.EMIT, "instr")]
 
     def test_end_instantiation_resets_current(self):
         cm = CostModel()
-        cm.charge(Phase.IR, "record")
+        cm.charge(IR_RECORD)
         stats = cm.end_instantiation()
         assert stats.cycles[Phase.IR] > 0
         assert cm.current.total_cycles() == 0
 
     def test_lifetime_accumulates_across_instantiations(self):
         cm = CostModel()
-        cm.charge(Phase.IR, "record")
+        cm.charge(IR_RECORD)
         cm.end_instantiation()
-        cm.charge(Phase.IR, "record", 2)
+        cm.charge(IR_RECORD, 2)
         cm.end_instantiation()
         assert cm.lifetime.events[(Phase.IR, "record")] == 3
 
     def test_phase_breakdown_per_instruction(self):
         stats = CodegenStats()
-        stats.charge(Phase.EMIT, "instr", 4)
+        stats.charge(EMIT_INSTR, 4)
         stats.generated_instructions = 2
         breakdown = stats.phase_breakdown()
-        assert breakdown["emit"] == 2 * stats.weights[(Phase.EMIT, "instr")]
+        assert breakdown["emit"] == 2 * DEFAULT_WEIGHTS[(Phase.EMIT, "instr")]
 
     def test_merge(self):
         a = CodegenStats()
         b = CodegenStats()
-        a.charge(Phase.LINK, "patch")
-        b.charge(Phase.LINK, "patch", 2)
+        a.charge(LINK_PATCH)
+        b.charge(LINK_PATCH, 2)
         b.generated_instructions = 5
         a.merge(b)
         assert a.events[(Phase.LINK, "patch")] == 3

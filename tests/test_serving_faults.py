@@ -237,6 +237,27 @@ class TestSessionIsolation:
         assert out.value == 2 and out.path == "cold"
         assert poisoned.value == before + 1
 
+    def test_tampered_patch_hole_never_reaches_a_clone(self):
+        """The checksum covers a template's patch records, not only its
+        body: a hole addend tampered with in the shared store would make
+        the clone compute 1007 here.  Instead the template is evicted
+        and the request served by a cold compile."""
+        eng = Engine(ADDER, chaos=None)
+        with eng.session() as a:
+            out = a.request("make_adder", (1,), call_args=(0,))
+            assert out.ok and out.path == "cold"
+        (_shape, template), = eng.store.items()
+        rel, field, org, scl, add, is_float = template.holes[0]
+        assert add == 0
+        template.holes[0] = (rel, field, org, scl, 1000, is_float)
+        poisoned = REGISTRY.counter("cache.poisoned_evictions")
+        before = poisoned.value
+        with eng.session() as b:
+            out = b.request("make_adder", (2,), call_args=(5,))
+        assert out.ok, out.error
+        assert out.value == 7 and out.path == "cold"
+        assert poisoned.value == before + 1
+
     def test_concurrent_chaos_and_clean_sessions(self):
         """Thread a chaos session against clean sessions; the clean ones
         must stay bit-correct throughout."""

@@ -14,7 +14,10 @@ import pytest
 from repro import TccCompiler
 from repro.core.codecache import CodeCache
 from repro.errors import VerifyError
+from repro.icode.backend import IcodeBackend
 from repro.icode.ir import IRFunction, IRInstr
+from repro.runtime.costmodel import CostModel
+from repro.target.cpu import Machine
 from repro.target.isa import ALLOCATABLE_REGS, Instruction, Op
 from repro.target.program import Label
 from repro.verify import codeaudit, ircheck
@@ -217,6 +220,26 @@ class TestRegcheckMutations:
         _expect_regcheck(monkeypatch, CALL_SRC, caller_saved_regs,
                          "caller-saved-across-call")
 
+    def test_stale_defs_uses_cache(self):
+        # Rewrite an operand behind the IR's back, skipping the
+        # cache-dropping IRInstr.rewrite.  The stale defs/uses still say
+        # `add v2, v1, v1`, which hides v0's last use, so linear scan
+        # hands v0's register to v1.  Only a checker that recomputes
+        # defs/uses from the operands sees the two live values collide.
+        backend = IcodeBackend(Machine(), CostModel(), verify="dev")
+        v0, v1, v2 = (backend.alloc_reg("i") for _ in range(3))
+        backend.li(v0, 1)
+        backend.li(v1, 2)
+        backend.binop("add", v2, v1, v1)
+        backend.ret(v2)
+        add = backend.ir.instrs[2]
+        assert add.defs_uses() == ((v2,), (v1, v1))
+        add.b = v0
+        with pytest.raises(VerifyError) as err:
+            backend.install("stale")
+        assert err.value.layer == "regcheck"
+        assert "register-aliasing" in _rules(err.value)
+
 
 # ---------------------------------------------------------------------------
 # Layer 4: install-time code audit
@@ -273,10 +296,10 @@ class TestCodeauditMutations:
         """
         original = CodeCache.instantiate_template
 
-        def skip_one_patch(self, template, body, signature, machine, cost):
-            entry = original(self, template, body, signature, machine, cost)
-            if template.holes:
-                rel, field = template.holes[0][0], template.holes[0][1]
+        def skip_one_patch(self, records, signature, machine, cost):
+            entry = original(self, records, signature, machine, cost)
+            if records.holes:
+                rel, field = records.holes[0][0], records.holes[0][1]
                 old = machine.code.instructions[entry + rel]
                 vals = {"a": old.a, "b": old.b, "c": old.c}
                 vals[field] = (vals[field] or 0) + 1
