@@ -44,9 +44,6 @@ class IRInstr:
         self.ret_cls = ret_cls  # "i" / "f" / None
         self._du = None         # cached defs_uses()
 
-    def is_pseudo(self) -> bool:
-        return isinstance(self.op, str)
-
     def rewrite(self, **fields) -> None:
         """Overwrite ``op``/``a``/``b``/``c``/``target``/``args`` after
         recording.  Every such write goes through here, because it drops

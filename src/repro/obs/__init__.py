@@ -5,9 +5,8 @@ four pillars in one package:
 
 :mod:`repro.obs.slo`
     declarative latency/availability objectives with windowed error
-    budgets and multi-window burn-rate alerts (:class:`SloEngine`), plus
-    after-the-fact evaluation from registry histograms
-    (:func:`evaluate_registry`);
+    budgets and multi-window burn-rate alerts (:class:`SloEngine`),
+    scored live over each serving engine's request stream;
 :mod:`repro.obs.flightrec`
     the black-box flight recorder — a bounded ring of recent request
     records that dumps a self-contained diagnostic bundle (JSON + Chrome
@@ -19,7 +18,7 @@ four pillars in one package:
     parser/validator tests round-trip every scrape through;
 :mod:`repro.obs.server`
     the stdlib HTTP endpoint (``/metrics`` ``/healthz`` ``/slo``
-    ``/blackbox``) behind ``python -m repro.obs serve``.
+    ``/blackbox``) behind ``python -m repro.report serve``.
 
 ``repro.report.reset()`` clears the plane too: every live
 :class:`SloEngine` and :class:`FlightRecorder` registers itself here (a
@@ -41,12 +40,11 @@ from repro.obs.slo import (
     SloPolicy,
     SloStatus,
     default_policy,
-    evaluate_registry,
 )
 
 __all__ = [
     "SloObjective", "SloPolicy", "SloEngine", "SloStatus",
-    "default_policy", "evaluate_registry",
+    "default_policy",
     "FlightRecorder", "RequestRecord",
     "render", "parse", "validate", "CONTENT_TYPE",
     "ObsServer", "attach", "attached", "slo_status",

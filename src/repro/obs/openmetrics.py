@@ -1,11 +1,10 @@
 """OpenMetrics text exposition of the metrics registry (+ a checker).
 
-:func:`render` turns a :class:`~repro.telemetry.metrics.MetricsRegistry`
-into the OpenMetrics text format a fleet scraper (Prometheus et al.)
-ingests:
+:func:`render` turns the process-wide
+:data:`~repro.telemetry.metrics.REGISTRY` into the OpenMetrics text
+format a fleet scraper (Prometheus et al.) ingests:
 
 * ``Counter`` -> a ``counter`` family with one ``_total`` sample;
-* ``Gauge`` -> a ``gauge`` family;
 * ``LabeledCounter`` -> a ``counter`` family with one ``_total`` sample
   per label (label name ``key``);
 * ``Histogram`` -> a ``histogram`` family: *cumulative* ``_bucket``
@@ -18,10 +17,9 @@ ingests:
   never silent in an export.
 
 The per-path compile-latency histograms (``compile.latency.hit`` /
-``patched`` / ``cold`` / ``fallback`` / …) are folded into **one**
-``compile_latency_cycles`` family with a ``path`` label, so the
-hit/patched/cold/fallback split the serving SLOs gate on is a
-first-class dimension, not four unrelated metric names.
+``patched`` / ``cold`` / ``degrade`` / …) are folded into **one**
+``compile_latency_cycles`` family with a ``path`` label, so the compile
+path is a first-class dimension, not six unrelated metric names.
 
 :func:`parse` is a deliberately small reader of the same format and
 :func:`validate` checks the invariants the exporter must uphold
@@ -36,12 +34,11 @@ import re
 
 from repro.telemetry.metrics import (
     COMPILE_PATHS,
+    REGISTRY,
     Counter,
     EventLog,
-    Gauge,
     Histogram,
     LabeledCounter,
-    MetricsRegistry,
 )
 
 #: The content type a compliant scraper expects from ``/metrics``.
@@ -101,13 +98,11 @@ def _histogram_lines(family: str, series) -> list:
     return lines
 
 
-def render(registry: MetricsRegistry | None = None) -> str:
+def render() -> str:
     """The whole registry in OpenMetrics text exposition format."""
-    from repro.telemetry.metrics import REGISTRY
-    registry = registry if registry is not None else REGISTRY
     lines: list = []
     latency_series = []
-    for name, metric in registry.items():
+    for name, metric in REGISTRY.items():
         if (isinstance(metric, Histogram)
                 and name.startswith(_LATENCY_PREFIX)
                 and name[len(_LATENCY_PREFIX):] in COMPILE_PATHS):
@@ -118,9 +113,6 @@ def render(registry: MetricsRegistry | None = None) -> str:
         if isinstance(metric, Counter):
             lines.append(f"# TYPE {san} counter")
             lines.append(f"{san}_total {_fmt(metric.snapshot())}")
-        elif isinstance(metric, Gauge):
-            lines.append(f"# TYPE {san} gauge")
-            lines.append(f"{san} {_fmt(metric.snapshot())}")
         elif isinstance(metric, LabeledCounter):
             lines.append(f"# TYPE {san} counter")
             for label, value in sorted(metric.snapshot().items()):

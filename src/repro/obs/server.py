@@ -10,17 +10,17 @@ third-party dependency — and serves:
 ``/healthz``
     ``200 ok`` while the process is up (a fleet's liveness probe);
 ``/slo``
-    JSON :class:`~repro.obs.slo.SloStatus` from :func:`slo_status` — the
-    attached engine's live streaming status when one is attached, else
-    the default policy evaluated from the registry's histograms;
+    JSON :class:`~repro.obs.slo.SloStatus` from :func:`slo_status`, the
+    attached engine's live streaming status (404 when no engine with an
+    SLO policy is attached);
 ``/blackbox``
     JSON flight-recorder bundle of the attached engine (404 when no
     recorder is attached).
 
 ``attach(engine)`` points the endpoint at a serving engine; serving
 engines with the observability plane enabled self-attach on creation
-(latest wins), so ``python -m repro.obs serve`` in a process that built
-an Engine exposes it with zero wiring.
+(latest wins), so ``python -m repro.report serve`` in a process that
+built an Engine exposes it with zero wiring.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs import openmetrics
-from repro.obs.slo import default_policy, evaluate_registry
 
 #: Weak reference to the most recently attached serving engine (weak so
 #: a status endpoint never keeps a dead engine's machines alive).
@@ -52,16 +51,12 @@ def attached():
     return ref() if ref is not None else None
 
 
-def slo_status(registry=None):
+def slo_status():
     """The SLO status behind ``/slo`` and ``report slo``: the attached
-    engine's live status when it has an SLO engine, else the default
-    policy evaluated from ``registry``'s histograms.  Returns
-    ``(status, source)``, ``source`` naming where the status came from."""
+    engine's live :class:`~repro.obs.slo.SloStatus`, or None when no
+    engine is attached or the attached one monitors no SLOs."""
     slo = getattr(attached(), "slo", None)
-    if slo is not None:
-        return slo.status(), f"live engine ({slo.policy.name} policy)"
-    return (evaluate_registry(default_policy(), registry),
-            "registry histograms (default policy)")
+    return slo.status() if slo is not None else None
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -70,13 +65,16 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):  # noqa: N802  (http.server API)
         path = self.path.split("?", 1)[0]
         if path in ("/metrics", "/"):
-            body = openmetrics.render(self.server.registry)
+            body = openmetrics.render()
             self._reply(200, body, openmetrics.CONTENT_TYPE)
         elif path == "/healthz":
             self._reply(200, "ok\n", "text/plain; charset=utf-8")
         elif path == "/slo":
-            status, _ = slo_status(self.server.registry)
-            self._json(200, status.to_dict())
+            status = slo_status()
+            if status is None:
+                self._json(404, {"error": "no SLO engine attached"})
+            else:
+                self._json(200, status.to_dict())
         elif path == "/blackbox":
             engine = attached()
             recorder = getattr(engine, "recorder", None) if engine else None
@@ -106,13 +104,9 @@ class _Handler(BaseHTTPRequestHandler):
 class ObsServer:
     """The status endpoint; ``start()`` serves on a daemon thread."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 9464,
-                 registry=None):
-        from repro.telemetry.metrics import REGISTRY
-
+    def __init__(self, host: str = "127.0.0.1", port: int = 9464):
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
-        self._httpd.registry = registry if registry is not None else REGISTRY
         self._thread = None
 
     @property

@@ -47,18 +47,6 @@ availability budget floors it at rung 2 (the one-pass VCODE back end).
 The point is to degrade while budget remains rather than after traps
 storm; latency objectives never trigger protection (degrading raises
 latency).  Default policies are monitor-only (``protective=False``).
-
-Histogram mode
---------------
-
-:func:`evaluate_registry` evaluates a policy after the fact from the
-``compile.latency.{path}`` histograms plus the ``serving.*`` counters in
-a metrics registry — the mode behind ``python -m repro.report slo`` and
-the ``/slo`` endpoint when no live engine is attached.  Latency
-thresholds should sit on histogram bucket bounds
-(:data:`~repro.telemetry.metrics.CYCLE_BOUNDS`) for exactness; a
-threshold between bounds is rounded *down* to the next bound, i.e. the
-conservative direction.
 """
 
 from __future__ import annotations
@@ -87,7 +75,7 @@ class SloObjective:
         ``"availability"`` — a request is violating when it failed.
     ``path``
         restrict a latency objective to one serving path (``hit`` /
-        ``patched`` / ``cold`` / ``fallback`` / ...); ``None`` scores
+        ``patched`` / ``cold`` / ``degrade`` / ...); ``None`` scores
         every request.
     ``target``
         the promised good fraction (0 < target < 1); the error budget is
@@ -172,15 +160,16 @@ class SloPolicy:
 
 
 def default_policy(protective: bool = False) -> SloPolicy:
-    """The out-of-the-box serving policy: per-path modeled-cycle latency
-    objectives on compile+execute time (thresholds sit on the registry's
-    cycle-histogram bounds) plus one availability objective."""
+    """The out-of-the-box serving policy: one modeled-cycle latency
+    objective on end-to-end (compile + execute) request cycles for each
+    path a served request can take, plus one availability objective.
+    A degraded compile is a cold build on a lower rung, so ``degrade``
+    shares the cold threshold."""
     return SloPolicy([
         SloObjective("hit-latency", path="hit", threshold=3_000),
         SloObjective("patched-latency", path="patched", threshold=10_000),
         SloObjective("cold-latency", path="cold", threshold=300_000),
-        SloObjective("fallback-latency", path="fallback",
-                     threshold=300_000),
+        SloObjective("degrade-latency", path="degrade", threshold=300_000),
         SloObjective("availability", kind="availability", target=0.995),
     ], name="default", protective=protective)
 
@@ -395,56 +384,3 @@ class SloEngine:
     def __repr__(self) -> str:
         return (f"<SloEngine {self.policy.name} "
                 f"observed={self.observed}>")
-
-
-def evaluate_registry(policy: SloPolicy, registry=None) -> SloStatus:
-    """Evaluate ``policy`` from a registry's histograms/counters instead
-    of a live stream (burn windows unavailable: alerts are ``ok`` or
-    ``exhausted`` only).
-
-    Latency objectives read ``compile.latency.{path}`` (modeled *compile*
-    cycles — the after-the-fact view; the streaming engine scores
-    end-to-end request cycles).  Availability reads the
-    ``serving.requests``/``serving.failed`` counters.
-    """
-    from repro.telemetry.metrics import REGISTRY
-    registry = registry if registry is not None else REGISTRY
-    statuses = []
-    observed = 0
-    for obj in policy:
-        if obj.kind == "availability":
-            total = registry.counter("serving.requests").value
-            bad = registry.counter("serving.failed").value
-        else:
-            paths = (obj.path,) if obj.path else COMPILE_PATHS
-            total = bad = 0
-            for path in paths:
-                hist = registry.get(f"compile.latency.{path}")
-                if hist is None:
-                    continue
-                snap = hist.snapshot()
-                total += snap["count"]
-                good = 0
-                for bound, cumulative in zip(
-                        snap["bounds"],
-                        _cumulative(snap["buckets"])):
-                    if bound <= obj.threshold:
-                        good = cumulative
-                bad += snap["count"] - good
-        observed = max(observed, total)
-        fraction = bad / total if total else 0.0
-        remaining = 1.0 - (fraction / obj.budget) if obj.budget else 0.0
-        alert = "exhausted" if (bad and remaining <= 0.0
-                                and total >= obj.min_samples) else "ok"
-        statuses.append(ObjectiveStatus(obj, total, bad, 0.0, 0.0, 0, 0,
-                                        alert, remaining))
-    return SloStatus(policy, statuses, observed)
-
-
-def _cumulative(buckets):
-    running = 0
-    out = []
-    for n in buckets:
-        running += n
-        out.append(running)
-    return out

@@ -225,35 +225,30 @@ _SERVING = {key: _REGISTRY.counter(f"serving.{key}")
             for key in _SERVING_KEYS}
 _DEGRADED_BY_TIER = _REGISTRY.labeled("serving.degraded_by_tier")
 
-# The serving record helpers accept the registry to write to: a session
-# passes its per-session registry (rolled up into the global one when the
-# session closes); None writes to the global registry directly.
 
-def record_request(outcome: str, registry=None) -> None:
+def record_request(outcome: str) -> None:
     """Record one serving request: ``outcome`` is "completed"/"failed"."""
-    reg = registry or _REGISTRY
-    reg.counter("serving.requests").inc()
+    _SERVING["requests"].inc()
     if outcome in ("completed", "failed"):
-        reg.counter(f"serving.{outcome}").inc()
+        _SERVING[outcome].inc()
 
 
-def record_retry(registry=None) -> None:
-    (registry or _REGISTRY).counter("serving.retries").inc()
+def record_retry() -> None:
+    _SERVING["retries"].inc()
 
 
-def record_deadline_miss(registry=None) -> None:
-    (registry or _REGISTRY).counter("serving.deadline_misses").inc()
+def record_deadline_miss() -> None:
+    _SERVING["deadline_misses"].inc()
 
 
-def record_breaker_open(registry=None) -> None:
-    (registry or _REGISTRY).counter("serving.breaker_opens").inc()
+def record_breaker_open() -> None:
+    _SERVING["breaker_opens"].inc()
 
 
-def record_degraded(tier: str, registry=None) -> None:
+def record_degraded(tier: str) -> None:
     """Record one request served below the top rung of the ladder."""
-    reg = registry or _REGISTRY
-    reg.counter("serving.degraded").inc()
-    reg.labeled("serving.degraded_by_tier").inc(tier)
+    _SERVING["degraded"].inc()
+    _DEGRADED_BY_TIER.inc(tier)
 
 
 def serving_stats() -> dict:

@@ -15,6 +15,8 @@ Usage::
     python -m repro.report analysis   # guard elision + factcheck stats
     python -m repro.report slo        # SLO burn-rate / error-budget status
     python -m repro.report all
+    python -m repro.report scrape [--demo N]
+    python -m repro.report serve [--host H] [--port P] [--demo N]
 
 ``trace [APP] [-f summary|chrome|jsonl] [-o PATH] [--backend B]
 [--regalloc R] [--telemetry MODE] [--codecache] [--list]`` runs one app
@@ -24,6 +26,15 @@ chrome://tracing; timestamps are modeled cycles (1 "us" = 1 cycle)::
 
     python -m repro.report trace blur -f chrome -o blur_trace.json
     python -m repro.report trace pow -f jsonl -o pow.jsonl --backend vcode
+
+``scrape`` prints one OpenMetrics exposition of the process-wide
+metrics registry and exits.  ``serve`` binds the stdlib status endpoint
+(``/metrics`` ``/healthz`` ``/slo`` ``/blackbox``, default
+127.0.0.1:9464) and blocks until interrupted.  ``--demo N`` first serves
+N requests of the deterministic heavy-tailed workload
+(:mod:`repro.obs.workload`) through a fresh serving engine, so there are
+hit/patched/cold latency histograms, SLO state and a flight-recorder
+ring to expose.
 
 Numbers are deterministic (simulated machine + modeled codegen cycles).
 """
@@ -38,7 +49,7 @@ import sys
 from repro import analysis, persist, report
 from repro.apps import ALL_APPS, FIGURE4_APPS, blur_app, harness, table1
 from repro.core import driver
-from repro.obs import server
+from repro.obs import openmetrics, server
 from repro.telemetry import export
 from repro.telemetry.metrics import REGISTRY
 
@@ -372,12 +383,15 @@ def report_analysis() -> str:
 
 
 def report_slo() -> str:
-    """SLO status from :func:`repro.obs.server.slo_status`, the same
-    view the ``/slo`` endpoint serves."""
-    status, source = server.slo_status()
+    """The attached engine's live SLO status from
+    :func:`repro.obs.server.slo_status`, the same view the ``/slo``
+    endpoint serves."""
+    status = server.slo_status()
+    if status is None:
+        return "Serving SLOs: no serving engine with an SLO policy is attached"
     lines = [
         "Serving SLOs: error budgets and multi-window burn rates",
-        f"source: {source}",
+        f"policy: {status.policy.name}",
         "",
         f"verdict: {'OK' if status.ok else 'BREACHED'} "
         f"(worst alert: {status.worst()}, observed {status.observed})",
@@ -395,6 +409,59 @@ def report_slo() -> str:
         lines.append("")
         lines.append("(!) budget exhausted: " + ", ".join(status.exhausted))
     return "\n".join(lines)
+
+
+def _plane_parser(command: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=f"python -m repro.report {command}",
+        description="serving observability: scrape or serve the metrics "
+                    "registry, SLO status, and flight-recorder bundles")
+    if command == "serve":
+        parser.add_argument("--host", default="127.0.0.1")
+        parser.add_argument("--port", type=int, default=9464)
+    parser.add_argument("--demo", type=int, default=0, metavar="N",
+                        help="serve N demo requests first")
+    return parser
+
+
+def _demo(n: int):
+    """Serve ``n`` demo requests through a fresh engine and return it
+    (it stays attached to the endpoint while the caller holds it)."""
+    from repro.obs import workload
+    from repro.serving.engine import Engine
+
+    engine = Engine(workload.PROGRAM)
+    with engine.session("demo") as session:
+        workload.replay(session, workload.generate(n))
+    return engine
+
+
+def scrape(argv=()) -> str:
+    """One OpenMetrics exposition of the registry (after ``--demo N``)."""
+    args = _plane_parser("scrape").parse_args(list(argv))
+    if args.demo:
+        _demo(args.demo)
+    return openmetrics.render()
+
+
+def serve(argv=()) -> int:
+    """Run the HTTP status endpoint until interrupted."""
+    args = _plane_parser("serve").parse_args(list(argv))
+    # Attachment is a weak reference: this local keeps the demo engine
+    # behind /slo and /blackbox alive for as long as the server runs.
+    engine = _demo(args.demo) if args.demo else None
+    endpoint = server.ObsServer(args.host, args.port)
+    print(f"serving on {endpoint.url} "
+          f"(/metrics /healthz /slo /blackbox); Ctrl-C stops",
+          file=sys.stderr)
+    if engine is not None:
+        print(f"demo engine attached: {args.demo} requests served",
+              file=sys.stderr)
+    try:
+        endpoint.serve_forever()
+    except KeyboardInterrupt:
+        endpoint.stop()
+    return 0
 
 
 def report_paper_figures() -> str:
@@ -426,6 +493,11 @@ REPORTS = {
 
 def main(argv=None) -> int:
     argv = argv if argv is not None else sys.argv[1:]
+    if argv and argv[0] == "scrape":
+        sys.stdout.write(scrape(argv[1:]))
+        return 0
+    if argv and argv[0] == "serve":
+        return serve(argv[1:])
     if not argv or argv[0] not in set(REPORTS) | {"all"}:
         print(__doc__)
         return 1

@@ -6,12 +6,12 @@ the statically compiled program, the shared Tier-2
 schedule — and hands out :class:`Session` objects.  Each session owns
 everything mutable: its own :class:`~repro.target.cpu.Machine` (code
 segment, data memory, CPU), its own :class:`~repro.core.driver.Process`
-(Tier-1 memo, spec-time interpreter state), its own breaker board, and a
-per-session metrics registry that rolls up into the global one when the
-session closes.  N sessions on N threads therefore compile and execute
-concurrently without sharing any mutable state beyond the lock-striped
-template store and the lock-guarded global metrics — the property the
-differential test in ``tests/test_serving.py`` pins down bit-for-bit.
+(Tier-1 memo, spec-time interpreter state) and its own breaker board.
+N sessions on N threads therefore compile and execute concurrently
+without sharing any mutable state beyond the lock-striped template store
+and the lock-guarded global metrics, which every request counts into as
+it is served — the property the differential test in
+``tests/test_serving.py`` pins down bit-for-bit.
 
 Session creation itself is serialized under an engine lock:
 ``Process.__init__`` writes deterministic global addresses onto the
@@ -42,10 +42,13 @@ from repro.serving.breaker import LADDER, BreakerBoard
 from repro.serving.chaos import ChaosPlan, from_env
 from repro.serving.envelope import DeadlineClock, Envelope, RetryPolicy
 from repro.serving.store import TemplateStore
-from repro.telemetry.metrics import REGISTRY, MetricsRegistry, exemplar_context
+from repro.telemetry.metrics import REGISTRY, exemplar_context
 from repro.tiering import SharedHotness
 
 _UNSET = object()
+
+#: Chaos injections per action kind, across every session.
+_CHAOS_INJECTED = REGISTRY.labeled("chaos.injected")
 
 
 class RequestOutcome:
@@ -114,7 +117,7 @@ class Engine:
         :class:`~repro.obs.flightrec.FlightRecorder` or ``None`` to
         disable; ``blackbox_dir`` (default ``$REPRO_BLACKBOX_DIR``)
         makes every trigger dump a diagnostic bundle to disk.  The new
-        engine self-attaches to the ``python -m repro.obs serve``
+        engine self-attaches to the ``python -m repro.report serve``
         endpoint (latest wins)."""
         import os
 
@@ -204,7 +207,7 @@ class Engine:
 
     def stats(self) -> dict:
         """Engine-level snapshot: sessions, shared store, global serving
-        counters (sessions still open have not rolled up yet)."""
+        counters."""
         out = {
             "sessions_open": self.sessions_open,
             "sessions_closed": self.sessions_closed,
@@ -225,8 +228,7 @@ class Engine:
 class Session:
     """One client's isolated execution context, with the robustness
     envelope around every request.  Created by :meth:`Engine.open_session`;
-    close (or use as a context manager) to roll per-session telemetry up
-    into the global registry and detach from the machine."""
+    close (or use as a context manager) to detach it from its machine."""
 
     def __init__(self, engine: Engine, process, name: str, *,
                  deadline: int | None, retry: RetryPolicy,
@@ -238,7 +240,6 @@ class Session:
         self.retry = retry
         self.breakers = breakers
         self.chaos = chaos
-        self.metrics = MetricsRegistry()   # per-session view
         self.requests_served = 0
         self.closed = False
         self._entry_keys: dict = {}        # entry -> breaker routing key
@@ -270,9 +271,7 @@ class Session:
         slo = self.engine.slo
         envelope = Envelope(
             self.breakers, DeadlineClock(budget), self.retry,
-            registry=self.metrics,
             min_rung=slo.protective_rung() if slo is not None else 0)
-        opens_before = self.metrics.counter("serving.breaker_opens").value
         wall0 = time.perf_counter_ns()
         process = self.process
         process.envelope = envelope
@@ -293,7 +292,7 @@ class Session:
         except TccError as exc:
             outcome.error = exc
             if isinstance(exc, DeadlineExceeded):
-                report.record_deadline_miss(self.metrics)
+                report.record_deadline_miss()
         finally:
             process.envelope = None
             for undo in undos:
@@ -304,14 +303,13 @@ class Session:
         outcome.path = process._compile_path
         outcome.exec_engine = envelope.exec_engine
         outcome.tier = self._tier_of(envelope)
-        report.record_request("completed" if outcome.ok else "failed",
-                              self.metrics)
+        report.record_request("completed" if outcome.ok else "failed")
         self._observe(outcome, correlation_id, builder, budget, envelope,
-                      opens_before, wall_us)
+                      wall_us)
         return outcome
 
     def _observe(self, outcome, correlation_id, builder, budget, envelope,
-                 opens_before, wall_us) -> None:
+                 wall_us) -> None:
         """Feed the engine's observability plane (SLO windows + flight
         recorder) with this request; detect the recorder's triggers."""
         engine = self.engine
@@ -322,9 +320,9 @@ class Session:
         if recorder is None:
             return
         triggers = []
-        opens = (self.metrics.counter("serving.breaker_opens").value
-                 - opens_before)
-        if opens:
+        # The request's own envelope, not a delta of the global counter:
+        # that would fire on another session's concurrent breaker open.
+        if envelope.breaker_opens:
             triggers.append("breaker_open")
         if outcome.exec_engine == "reference":
             if not self._reference_pinned:
@@ -356,7 +354,7 @@ class Session:
             "rungs": envelope.compile_rungs,
             "exec_engine": outcome.exec_engine,
             "chaos": outcome.chaos,
-            "breaker_opens": opens,
+            "breaker_opens": envelope.breaker_opens,
             "wall_us": round(wall_us, 1),
             "spans": spans,
         }, triggers=triggers)
@@ -379,13 +377,13 @@ class Session:
             raise RuntimeTccError(f"session {self.name!r} is closed")
         budget = self.deadline if deadline is _UNSET else deadline
         envelope = Envelope(self.breakers, DeadlineClock(budget),
-                            self.retry, registry=self.metrics)
+                            self.retry)
         try:
             return envelope.execute(self.process, entry, args, fargs,
                                     returns, name=name,
                                     key=self._entry_keys.get(entry))
         except DeadlineExceeded:
-            report.record_deadline_miss(self.metrics)
+            report.record_deadline_miss()
             raise
 
     @staticmethod
@@ -403,7 +401,7 @@ class Session:
         undos = []
         machine = self.process.machine
         for kind in events:
-            self.metrics.labeled("chaos.injected").inc(kind)
+            _CHAOS_INJECTED.inc(kind)
             if kind == "emit_fault":
                 machine.code.inject_emit_failure(1)
             elif kind == "alloc_fault":
@@ -435,8 +433,8 @@ class Session:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Roll the per-session telemetry up into the global registry and
-        detach the session's caches from its machine.  Idempotent."""
+        """Publish the session's hotness profile, flush its persistent
+        templates and detach its caches from its machine.  Idempotent."""
         if self.closed:
             return
         self.closed = True
@@ -449,7 +447,6 @@ class Session:
         self.process.codecache.flush()
         self.process.machine.code.remove_invalidation_listener(
             self.process.codecache.on_segment_event)
-        REGISTRY.merge(self.metrics)
         self.engine._note_closed()
 
     def __enter__(self) -> "Session":

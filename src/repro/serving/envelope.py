@@ -108,17 +108,17 @@ class Envelope:
     """One request's robustness state; attach via ``process.envelope``."""
 
     def __init__(self, breakers, clock: DeadlineClock,
-                 policy: RetryPolicy, registry=None, min_rung: int = 0):
+                 policy: RetryPolicy, min_rung: int = 0):
         self.breakers = breakers
         self.clock = clock
         self.policy = policy
-        self.registry = registry
         #: Ladder floor asked for by a protective SLO policy (see
         #: :meth:`repro.obs.slo.SloEngine.protective_rung`): degrade
         #: *before* the error budget is gone, not after traps storm.
         self.min_rung = min_rung
         # per-request observability, read back by Session.request()
         self.retries = 0
+        self.breaker_opens = 0          # breakers this request opened
         self.compile_rungs: list = []   # final rung of each compile()
         self.compiled: list = []        # (entry, routing_key) per compile()
         self.exec_engine = None         # "tiered" / "block" / "reference"
@@ -157,7 +157,7 @@ class Envelope:
         for attempt in range(1, self.policy.max_attempts + 1):
             if attempt > 1:
                 self.retries += 1
-                report.record_retry(self.registry)
+                report.record_retry()
                 self.clock.charge(self.policy.backoff(attempt - 1))
             # _compile_closure consumes param() state in its finally
             # clause, so every attempt re-seeds it.
@@ -178,11 +178,12 @@ class Envelope:
             self.clock.charge(process.last_codegen_stats.total_cycles())
             if rung > 0:
                 process._compile_path = "degrade"
-                report.record_degraded(LADDER[rung], self.registry)
+                report.record_degraded(LADDER[rung])
             return entry
         self._last_error = error
         if breaker.record_failure():
-            report.record_breaker_open(self.registry)
+            self.breaker_opens += 1
+            report.record_breaker_open()
         return None
 
     def _next_rung(self, key, rung: int) -> int:
@@ -224,7 +225,7 @@ class Envelope:
         if not trusted:
             machine.distrust_block_cache()
             engine = "reference"
-            report.record_degraded("reference", self.registry)
+            report.record_degraded("reference")
         self.exec_engine = engine or machine.engine
         remaining = self.clock.remaining()
         fuel = machine.fuel
@@ -240,7 +241,8 @@ class Envelope:
                             and remaining is not None and spent >= remaining)
             if trusted and breaker is not None and not deadline_hit:
                 if breaker.record_failure():
-                    report.record_breaker_open(self.registry)
+                    self.breaker_opens += 1
+                    report.record_breaker_open()
             if deadline_hit:
                 self.clock.spent += spent
                 raise DeadlineExceeded(

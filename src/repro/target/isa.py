@@ -300,9 +300,6 @@ class Instruction:
         self.b = b
         self.c = c
 
-    def operands(self):
-        return [v for v in (self.a, self.b, self.c) if v is not None]
-
     def __repr__(self) -> str:
         return f"<{disassemble_one(self)}>"
 

@@ -27,14 +27,13 @@ def _spans_of(source) -> list:
     return [s for s in source if isinstance(s, Span)]
 
 
-def to_jsonl(source, include_metrics: bool = True) -> str:
-    """One JSON object per line: every span, then (optionally) one
-    ``{"metrics": ...}`` record with the registry snapshot."""
+def to_jsonl(source) -> str:
+    """One JSON object per line: every span, then one ``{"metrics": ...}``
+    record with the registry snapshot."""
     lines = [json.dumps(span.to_dict(), sort_keys=True, default=repr)
              for span in _spans_of(source)]
-    if include_metrics:
-        lines.append(json.dumps({"metrics": REGISTRY.snapshot()},
-                                sort_keys=True, default=repr))
+    lines.append(json.dumps({"metrics": REGISTRY.snapshot()},
+                            sort_keys=True, default=repr))
     return "\n".join(lines) + "\n"
 
 
@@ -78,9 +77,8 @@ def write_chrome_trace(source, path, title: str = "tcc repro") -> None:
         json.dump(chrome_trace(source, title), fh, indent=1, default=repr)
 
 
-def summary(source, registry=None) -> str:
+def summary(source) -> str:
     """A terminal summary: spans grouped by category, then key metrics."""
-    registry = registry if registry is not None else REGISTRY
     spans = _spans_of(source)
     by_cat: dict = {}
     for span in spans:
@@ -99,13 +97,13 @@ def summary(source, registry=None) -> str:
         lines.append(f"(!) {dropped} spans dropped past the "
                      f"{Tracer.MAX_SPANS}-span retention cap")
 
-    interesting = [name for name in registry.names()
+    interesting = [name for name in REGISTRY.names()
                    if not name.startswith("segment.")]
     if interesting:
         lines.append("")
         lines.append(f"{'metric':34s} {'value':>12s}")
         for name in interesting:
-            metric = registry.get(name)
+            metric = REGISTRY.get(name)
             snap = metric.snapshot()
             if isinstance(snap, dict):
                 if "count" in snap:          # histogram

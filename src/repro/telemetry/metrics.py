@@ -1,4 +1,4 @@
-"""The metrics registry: typed counters, gauges, histograms, event logs.
+"""The metrics registry: typed counters, histograms, event logs.
 
 One process-wide :data:`REGISTRY` absorbs the ad-hoc module-level stats
 dicts that grew in :mod:`repro.report` over PRs 1-4 (fallbacks, the
@@ -12,8 +12,6 @@ Metric types
 
 ``Counter``
     a monotonically increasing number (int or float); ``reset()`` zeroes.
-``Gauge``
-    a point-in-time value (last write wins).
 ``LabeledCounter``
     a family of counters keyed by a string label (verifier diagnostics
     per layer, serving requests degraded per tier).  ``preset`` labels
@@ -36,9 +34,10 @@ Thread safety: every mutation and snapshot goes through one module lock
 read-modify-write interleaves at bytecode granularity), so concurrent
 serving sessions hammering the shared :data:`REGISTRY` would drop
 increments without it.  The lock is uncontended in single-threaded use
-and all call sites are per-compile / per-run granularity, so the cost is
-noise.  Per-session registries (see :mod:`repro.serving`) use
-:meth:`MetricsRegistry.merge` to roll up into the global one on close.
+and all call sites are per-compile / per-run / per-request granularity,
+so the cost is noise.  Serving sessions (see :mod:`repro.serving`) write
+the shared :data:`REGISTRY` directly, so a scrape sees every request as
+it is served.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from contextlib import contextmanager
 
 #: One lock for every metric mutation/snapshot in the process.  Metric
 #: operations are tiny, so sharing one lock beats per-object locks on
-#: memory and is immune to lock-ordering bugs in ``merge``.
+#: memory and can never deadlock on lock order.
 _LOCK = threading.RLock()
 
 #: Retained-event cap for bounded event logs.  The total stays exact;
@@ -114,39 +113,11 @@ class Counter:
         with _LOCK:
             self.value = 0
 
-    def merge(self, other: "Counter") -> None:
-        with _LOCK:
-            self.value += other.value
-
     def snapshot(self):
         return self.value
 
     def __repr__(self) -> str:
         return f"<Counter {self.name}={self.value}>"
-
-
-class Gauge:
-    """A point-in-time value; the last write wins."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def set(self, value) -> None:
-        with _LOCK:
-            self.value = value
-
-    def reset(self) -> None:
-        with _LOCK:
-            self.value = 0
-
-    def snapshot(self):
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"<Gauge {self.name}={self.value}>"
 
 
 class LabeledCounter:
@@ -168,17 +139,9 @@ class LabeledCounter:
         with _LOCK:
             self.values[label] = self.values.get(label, 0) + n
 
-    def get(self, label: str):
-        return self.values.get(label, 0)
-
     def reset(self) -> None:
         with _LOCK:
             self.values = {label: 0 for label in self.preset}
-
-    def merge(self, other: "LabeledCounter") -> None:
-        with _LOCK:
-            for label, n in other.values.items():
-                self.values[label] = self.values.get(label, 0) + n
 
     def snapshot(self) -> dict:
         with _LOCK:
@@ -370,9 +333,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, lambda: Counter(name), Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, lambda: Gauge(name), Gauge)
-
     def labeled(self, name: str, preset=()) -> LabeledCounter:
         return self._get(name, lambda: LabeledCounter(name, preset),
                          LabeledCounter)
@@ -407,32 +367,6 @@ class MetricsRegistry:
             metrics = list(self._metrics.values())
         for metric in metrics:
             metric.reset()
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold every counter and labeled counter of ``other`` into
-        this registry in place, adding per name and per label.
-
-        Used by serving sessions to roll their per-session view up into
-        the process-wide registry on close.  A session registry holds
-        only counters and labeled counters (``serving.*``,
-        ``serving.degraded_by_tier``, ``chaos.injected``), so those are
-        the only kinds that merge.  Metric objects here keep their
-        identity, so modules that cached them at import time see the
-        merged values.
-        """
-        with _LOCK:
-            items = list(other._metrics.items())
-        for name, metric in items:
-            mine = self._get(name, lambda m=metric: _blank_like(m),
-                             type(metric))
-            mine.merge(metric)
-
-
-def _blank_like(metric):
-    """A zeroed metric with the same name and configuration."""
-    if isinstance(metric, LabeledCounter):
-        return LabeledCounter(metric.name, metric.preset)
-    return Counter(metric.name)
 
 
 #: The process-wide registry every subsystem feeds.

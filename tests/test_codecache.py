@@ -74,6 +74,27 @@ int build(int n) {
 }
 """
 
+SCALED = """
+int build(int n) {
+    int * vspec q = param(int *, 0);
+    return (int)compile(`(q[$n]), int);
+}
+"""
+
+GUARDED_SUM = """
+int w[4] = {1, 2, 3, 4};
+void poke(int k, int v) { w[k] = v; }
+int build(int n) {
+    int vspec p = param(int, 0);
+    return (int)compile(`{
+        int k, s;
+        s = p;
+        for (k = 0; k < $n; k++) s = s + $w[k] + $w[k];
+        return s;
+    }, int);
+}
+"""
+
 ARRAY_STORE = """
 int a[8];
 int build(int n) {
@@ -173,6 +194,24 @@ class TestTier2Templates:
         assert [f_patched(p) for p in (0, 3)] == [5, 8]
         for arg in (0, 3, -7, 1 << 20):
             assert f_patched(arg) == f_cold(arg)
+
+    def test_scaled_dollar_is_patched_through_its_hole(self, backend):
+        # `q[$n]` scales $n by the element size through
+        # PatchRecorder.scale, so the hole maps the origin with scale 4.
+        report.reset()
+        proc = compile_c(SCALED, backend=backend)
+        proc.run("build", 1)
+        entry = proc.run("build", 3)
+        assert report.cache_stats()["patched"] == 1
+        cold = compile_c(SCALED, backend=backend, codecache=False)
+        cold_entry = cold.run("build", 3)
+        f_patched = proc.function(entry, "i", "i")
+        f_cold = cold.function(cold_entry, "i", "i")
+        for words in ([10, 11, 12, 13], [0, -1, -2, -3, -4],
+                      [7, 7, 7, 1 << 20]):
+            q = proc.machine.memory.alloc_words(words)
+            cold_q = cold.machine.memory.alloc_words(words)
+            assert f_patched(q) == f_cold(cold_q) == words[3]
 
     def test_patched_float_binding(self, backend):
         report.reset()
@@ -345,6 +384,22 @@ class TestGuards:
         mem.store_word(addr, 8)  # the guarded value changed
         assert cache.lookup(Sig, mem) is None
         assert Sig.key not in cache._memo  # stale entry evicted
+
+    def test_entailed_guards_are_pruned_and_kept_ones_still_guard(self):
+        # Each unrolled iteration reads $w[k] twice at emission time:
+        # analysis prunes the second read's guard, entailed by the first,
+        # and the kept guards still catch a store to w.
+        report.reset()
+        proc = compile_c(GUARDED_SUM, backend="icode", analysis="on")
+        entry = proc.run("build", 2)
+        assert report.analysis_stats()["guards_discharged"] == 2
+        assert proc.function(entry, "i", "i")(100) == 100 + 2 * (1 + 2)
+        assert proc.run("build", 2) == entry
+        proc.run("poke", 1, 50)
+        fresh = proc.run("build", 2)
+        assert fresh != entry
+        assert report.cache_stats()["misses"] == 2
+        assert proc.function(fresh, "i", "i")(100) == 100 + 2 * (1 + 50)
 
     def test_double_guards_compare_bits(self):
         mem = Memory()

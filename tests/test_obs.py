@@ -29,11 +29,11 @@ from repro.obs.slo import (
     SloEngine,
     SloObjective,
     SloPolicy,
-    default_policy,
-    evaluate_registry,
 )
 from repro.serving import ChaosPlan
-from repro.telemetry.metrics import REGISTRY, MetricsRegistry
+from repro.telemetry.metrics import REGISTRY
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 ADDER = """
 int make_adder(int n) {
@@ -221,44 +221,6 @@ class TestProtectiveRung:
         with eng.session() as s:
             out = s.request("make_adder", (10,), call_args=(5,))
             assert out.ok and out.tier == "vcode"
-
-
-class TestEvaluateRegistry:
-    def test_histogram_mode(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("compile.latency.hit", (100, 1000))
-        for _ in range(99):
-            hist.record(50)
-        hist.record(5000)                       # 1 above-threshold outlier
-        reg.counter("serving.requests").inc(100)
-        reg.counter("serving.failed").inc(0)
-        policy = SloPolicy([
-            SloObjective("hit", path="hit", threshold=1000, target=0.95),
-            SloObjective("avail", kind="availability", target=0.95),
-        ])
-        status = evaluate_registry(policy, reg)
-        assert status.ok
-        hit = status.statuses[0]
-        assert (hit.total, hit.violations) == (100, 1)
-
-    def test_exhausted_from_histograms(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("compile.latency.hit", (100, 1000))
-        for _ in range(20):
-            hist.record(5000)
-        policy = SloPolicy([SloObjective("hit", path="hit",
-                                         threshold=1000, target=0.99)])
-        status = evaluate_registry(policy, reg)
-        assert status.statuses[0].alert == "exhausted"
-        assert not status.ok
-
-    def test_default_policy_on_live_traffic(self):
-        eng = Engine(workload.PROGRAM, chaos=None)
-        with eng.session() as s:
-            workload.replay(s, workload.generate(60))
-        status = evaluate_registry(default_policy())
-        assert status.observed > 0
-        assert status.ok
 
 
 # -- the flight recorder ------------------------------------------------------
@@ -514,15 +476,13 @@ class TestObsServer:
                 _get(server.url + "/nope")
             assert err.value.code == 404
 
-    def test_slo_falls_back_to_registry_without_engine(self):
+    def test_slo_and_blackbox_are_404_without_engine(self):
         attach(None)
         with ObsServer(port=0) as server:
-            code, _, body = _get(server.url + "/slo")
-            assert code == 200
-            assert json.loads(body)["policy"] == "default"
-            with pytest.raises(urllib.error.HTTPError) as err:
-                _get(server.url + "/blackbox")
-            assert err.value.code == 404
+            for path in ("/slo", "/blackbox"):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    _get(server.url + path)
+                assert err.value.code == 404
 
 
 class TestCli:
@@ -530,42 +490,51 @@ class TestCli:
         env = dict(os.environ,
                    PYTHONPATH="src", REPRO_CHAOS="off")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.obs", "scrape", "--demo", "25"],
-            capture_output=True, text=True, env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            timeout=120)
+            [sys.executable, "-m", "repro.report", "scrape", "--demo", "25"],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
         assert proc.returncode == 0, proc.stderr
         families = parse(proc.stdout)
         assert validate(families) == []
         assert "compile_latency_cycles" in families
         assert families["serving_requests"]["samples"][0].value == 25
 
+    def test_serve_keeps_the_demo_engine_attached(self):
+        # Attachment is weak: /slo answers only while serve holds the
+        # demo engine.
+        env = dict(os.environ, PYTHONPATH="src", REPRO_CHAOS="off")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.report", "serve", "--port", "0",
+             "--demo", "5"],
+            stderr=subprocess.PIPE, text=True, env=env, cwd=ROOT)
+        try:
+            url = proc.stderr.readline().split()[2]
+            code, _, body = _get(url + "/slo")
+            assert code == 200 and json.loads(body)["observed"] == 5
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+
 
 # -- report integration and reset ---------------------------------------------
 
 class TestSloStatus:
     """``slo_status`` is the one status behind ``/slo`` and ``report
-    slo``: the attached engine's live view, else the registry's."""
+    slo``: the attached engine's live view, or None."""
 
     def test_attached_engine_is_the_source(self):
         eng = Engine(workload.PROGRAM, chaos=None)
         with eng.session() as s:
             workload.replay(s, workload.generate(30))
-        status, source = slo_status()
-        assert source == f"live engine ({eng.slo.policy.name} policy)"
+        status = slo_status()
         assert status.to_dict() == eng.slo.status().to_dict()
         assert status.observed == 30
 
-    def test_registry_fallback_reads_the_given_registry(self):
+    def test_none_without_an_engine(self):
         attach(None)
-        reg = MetricsRegistry()
-        reg.counter("serving.requests").inc(20)
-        reg.counter("serving.failed").inc(20)
-        status, source = slo_status(reg)
-        assert source == "registry histograms (default policy)"
-        assert status.to_dict() == \
-            evaluate_registry(default_policy(), reg).to_dict()
-        assert status.exhausted == ("availability",)
+        assert slo_status() is None
+        eng = Engine(ADDER, chaos=None, slo=None)
+        assert attached() is eng
+        assert slo_status() is None
 
 
 class TestReportSlo:
@@ -574,16 +543,21 @@ class TestReportSlo:
         with eng.session() as s:
             workload.replay(s, workload.generate(30))
         text = report_cli.report_slo()
-        assert "live engine" in text
+        assert "policy: default" in text
         assert "verdict: OK" in text
         assert "availability" in text
 
-    def test_registry_fallback_view(self):
+    def test_no_engine_view(self):
         attach(None)
         text = report_cli.report_slo()
-        assert "registry histograms" in text
+        assert text == ("Serving SLOs: no serving engine with an SLO "
+                        "policy is attached")
 
     def test_cli_subcommand(self, capsys):
+        eng = Engine(ADDER, chaos=None)
+        with eng.session() as s:
+            s.request("make_adder", (1,), call_args=(1,))
+        assert attached() is eng
         assert report_cli.main(["slo"]) == 0
         assert "burn" in capsys.readouterr().out
 

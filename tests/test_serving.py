@@ -16,6 +16,7 @@ from repro import (
 )
 from repro.icode.backend import IcodeBackend
 from repro.errors import CodegenError, CycleBudgetExceeded
+from repro.obs.openmetrics import parse, render
 from repro.serving import ChaosPlan, LADDER, RetryPolicy
 from repro.serving.breaker import BreakerBoard, CircuitBreaker
 from repro.serving.envelope import DeadlineClock
@@ -53,6 +54,10 @@ int make_div(int d) {
     return (int)compile(`(x / $d), int);
 }
 """
+
+
+def _degraded(tier):
+    return report.serving_stats()["degraded_by_tier"].get(tier, 0)
 
 
 class TestEngineSessions:
@@ -134,9 +139,10 @@ class TestDeadlines:
             full = probe.request("make_sum", (500,), call_args=(1,))
             assert full.ok and full.value == 500
         with eng.session(deadline=full.cycles // 2) as s:
+            before = report.serving_stats()["deadline_misses"]
             out = s.request("make_sum", (500,), call_args=(1,))
             assert isinstance(out.error, DeadlineExceeded)
-            assert s.metrics.counter("serving.deadline_misses").value == 1
+            assert report.serving_stats()["deadline_misses"] == before + 1
 
     def test_deadline_is_distinct_from_watchdog_fuel(self):
         # Watchdog fires (tiny fuel) while the deadline is generous: the
@@ -158,10 +164,11 @@ class TestRetries:
     def test_injected_emit_fault_is_retried(self):
         with Engine(ADDER, chaos=None).session() as s:
             s.process.machine.code.inject_emit_failure(2)
+            before = report.serving_stats()["retries"]
             out = s.request("make_adder", (10,), call_args=(5,))
             assert out.ok and out.value == 15
             assert out.retries >= 1
-            assert s.metrics.counter("serving.retries").value >= 1
+            assert report.serving_stats()["retries"] >= before + 1
 
     def test_backoff_is_charged_against_the_deadline(self):
         policy = RetryPolicy(max_attempts=3, backoff_cycles=500)
@@ -199,11 +206,26 @@ class TestDegradationLadder:
     def test_persistent_icode_failure_degrades_to_vcode(self, monkeypatch):
         self._icode_broken(monkeypatch)
         with Engine(ADDER, chaos=None).session() as s:
+            before = _degraded("vcode")
             out = s.request("make_adder", (10,), call_args=(5,))
             assert out.ok and out.value == 15
             assert out.tier == "vcode" and out.path == "degrade"
-            deg = s.metrics.labeled("serving.degraded_by_tier").snapshot()
-            assert deg.get("vcode") == 1
+            assert _degraded("vcode") == before + 1
+
+    def test_degraded_requests_are_scored_by_the_slo(self, monkeypatch):
+        # Every rung below 0 serves on path "degrade"; the default
+        # policy must score those requests, not a path serving never
+        # takes.
+        self._icode_broken(monkeypatch)
+        eng = Engine(ADDER, chaos=None)
+        with eng.session() as s:
+            for n in range(10):
+                out = s.request("make_adder", (n,), call_args=(1,))
+                assert out.ok and out.value == n + 1
+                assert out.path == "degrade"
+        totals = {st.objective.name: st.total
+                  for st in eng.slo.status().statuses}
+        assert totals["degrade-latency"] == 10
 
     def test_breaker_opens_then_probes_half_open(self, monkeypatch):
         # Breakers key on the closure *signature*, so every request must
@@ -212,9 +234,10 @@ class TestDegradationLadder:
         eng = Engine(ADDER, chaos=None)
         with eng.session(failure_threshold=2, probe_after=2) as s:
             # Two failing requests trip the patched and cold breakers.
+            before = report.serving_stats()["breaker_opens"]
             s.request("make_adder", (7,), call_args=(0,))
             s.request("make_adder", (7,), call_args=(0,))
-            assert s.metrics.counter("serving.breaker_opens").value >= 2
+            assert report.serving_stats()["breaker_opens"] >= before + 2
             states = s.breakers.states()
             assert any(rung == "patched" and state == "open"
                        for (key, rung), state in states.items())
@@ -251,12 +274,12 @@ class TestDegradationLadder:
                 assert isinstance(out.error, CycleBudgetExceeded)
             # Breaker open: the next (chaos-free) request executes on the
             # reference stepper with the block cache distrusted.
+            before = _degraded("reference")
             out = s.request("make_adder", (10,), call_args=(5,))
             assert out.ok and out.value == 15
             assert out.exec_engine == "reference"
             assert out.tier == "reference"
-            deg = s.metrics.labeled("serving.degraded_by_tier").snapshot()
-            assert deg.get("reference", 0) >= 1
+            assert _degraded("reference") >= before + 1
 
 
 class TestBreakerUnit:
@@ -288,17 +311,21 @@ class TestBreakerUnit:
 
 
 class TestTelemetryRollup:
-    def test_session_metrics_merge_on_close(self):
-        base = REGISTRY.counter("serving.requests").value
+    def test_open_session_counts_are_live(self):
+        # Every view of the serving counters sees a request as soon as it
+        # is served, not when its session closes.
+        report.reset()
         eng = Engine(ADDER, chaos=None)
         s = eng.open_session()
         s.request("make_adder", (10,), call_args=(5,))
         s.request("make_adder", (10,), call_args=(6,))
-        # Not rolled up yet...
-        assert REGISTRY.counter("serving.requests").value == base
-        assert s.metrics.counter("serving.requests").value == 2
+        scrape = parse(render())
+        assert REGISTRY.counter("serving.requests").value == 2
+        assert eng.stats()["serving"]["requests"] == 2
+        assert eng.dump_blackbox()["serving"]["serving.requests"] == 2
+        assert scrape["serving_requests"]["samples"][0].value == 2
         s.close()
-        assert REGISTRY.counter("serving.requests").value == base + 2
+        assert REGISTRY.counter("serving.requests").value == 2
 
     def test_engine_stats_shape(self):
         eng = Engine(ADDER, chaos=None)

@@ -77,10 +77,15 @@ class TestChaosMatrix:
     def test_cold_path(self, kind):
         """Fault injected right before the session's first (cold) compile."""
         eng = Engine(ADDER, chaos=None)
+        injected = REGISTRY.labeled("chaos.injected")
+        before = injected.snapshot()
         with eng.session(chaos=MATRIX[kind]) as s:
             out = s.request("make_adder", (10,), call_args=(5,))
             _check(kind, out, 15)
-            assert s.metrics.labeled("chaos.injected").snapshot() == {kind: 1}
+            after = injected.snapshot()
+            assert {label: n - before.get(label, 0)
+                    for label, n in after.items()
+                    if n != before.get(label, 0)} == {kind: 1}
             # The session must survive the fault: the next, chaos-free
             # request is served normally.
             again = s.request("make_adder", (20,), call_args=(5,))

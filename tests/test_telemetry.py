@@ -47,18 +47,14 @@ class TestMetrics:
         c.inc()
         c.inc(4)
         assert c.value == 5
-        g = reg.gauge("g")
-        g.set(7)
-        g.set(3)
-        assert g.value == 3
         reg.reset()
-        assert c.value == 0 and g.value == 0
+        assert c.value == 0
 
     def test_registry_get_or_create_is_stable(self):
         reg = MetricsRegistry()
         assert reg.counter("x") is reg.counter("x")
         with pytest.raises(TypeError):
-            reg.gauge("x")
+            reg.labeled("x")
 
     def test_labeled_counter_preset_survives_reset(self):
         lc = LabeledCounter("layers", preset=("a", "b"))
