@@ -40,7 +40,7 @@ guards are discharged at certification time and kept in a separate
 
 from __future__ import annotations
 
-from repro.core.codecache import _value_eq
+from repro.target.isa import bit_exact_eq
 
 FACT_KINDS = ("frame", "dup", "const")
 
@@ -100,7 +100,7 @@ def entailed_by(guard, kept) -> bool:
     addr, width, value = guard
     for k_addr, k_width, k_value in kept:
         if (k_addr, k_width) == (addr, width) and \
-                _value_eq(k_value, value):
+                bit_exact_eq(k_value, value):
             return True
         if width in ("b", "bu") and k_width == "w":
             delta = addr - k_addr

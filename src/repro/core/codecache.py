@@ -49,7 +49,6 @@ injected, or when the segment is reset (see
 
 from __future__ import annotations
 
-import struct
 import threading
 from collections import OrderedDict
 from typing import NamedTuple
@@ -61,7 +60,7 @@ from repro.runtime.costmodel import (
     PATCH_GUARD,
     PATCH_HOLE,
 )
-from repro.target.isa import Instruction, wrap32
+from repro.target.isa import Instruction, bit_exact_eq, wrap32
 from repro.target.program import Label
 from repro.telemetry.metrics import REGISTRY
 
@@ -458,19 +457,9 @@ class CodeTemplate:
                 if isinstance(new, float) != isinstance(old, float):
                     return False
                 continue
-            if not _value_eq(new, old):
+            if not bit_exact_eq(new, old):
                 return False
         return True
-
-
-def _value_eq(a, b) -> bool:
-    """Bit-exact equality: ``-0.0`` vs ``0.0`` and distinct NaNs never
-    alias, and a float never equals an int."""
-    if isinstance(a, float) != isinstance(b, float):
-        return False
-    if isinstance(a, float):
-        return struct.pack(">d", a) == struct.pack(">d", b)
-    return a == b
 
 
 def _guards_hold(guards, memory) -> bool:
@@ -487,7 +476,7 @@ def _guards_hold(guards, memory) -> bool:
                 actual = memory.load_word(addr)
         except MachineError:
             return False
-        if not _value_eq(actual, expected):
+        if not bit_exact_eq(actual, expected):
             return False
     return True
 

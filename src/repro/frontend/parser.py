@@ -24,6 +24,7 @@ from repro.errors import ParseError
 from repro.frontend import cast
 from repro.frontend import typesys as T
 from repro.frontend.lexer import Token, TokenKind, tokenize
+from repro.target.isa import sdiv, smod
 
 _TYPE_KEYWORDS = frozenset(
     {"void", "char", "int", "double", "float", "unsigned", "signed", "const",
@@ -781,7 +782,8 @@ class Parser:
 
 
 def _fold_int(expr) -> int | None:
-    """Fold a parse-time constant integer expression (for array bounds)."""
+    """Fold a parse-time constant integer expression (array bounds and
+    ``case`` labels) with C's truncating division and remainder."""
     if isinstance(expr, cast.IntLit):
         return expr.value
     if isinstance(expr, cast.Unary) and expr.op == "-":
@@ -797,8 +799,8 @@ def _fold_int(expr) -> int | None:
                 "+": lambda: lhs + rhs,
                 "-": lambda: lhs - rhs,
                 "*": lambda: lhs * rhs,
-                "/": lambda: lhs // rhs if rhs else None,
-                "%": lambda: lhs % rhs if rhs else None,
+                "/": lambda: sdiv(lhs, rhs) if rhs else None,
+                "%": lambda: smod(lhs, rhs) if rhs else None,
                 "<<": lambda: lhs << rhs,
                 ">>": lambda: lhs >> rhs,
             }[expr.op]()

@@ -31,22 +31,11 @@ _FOLDABLE = {
     Op.SGE: (Op.SGEI, lambda a, b: int(a >= b)),
 }
 
-_IMM_FOLD = {
-    Op.ADDI: lambda a, b: a + b,
-    Op.SUBI: lambda a, b: a - b,
-    Op.MULI: lambda a, b: a * b,
-    Op.ANDI: lambda a, b: a & b,
-    Op.ORI: lambda a, b: a | b,
-    Op.XORI: lambda a, b: a ^ b,
-    Op.SLLI: lambda a, b: a << (b & 31),
-    Op.SRAI: lambda a, b: a >> (b & 31),
-    Op.SEQI: lambda a, b: int(a == b),
-    Op.SNEI: lambda a, b: int(a != b),
-    Op.SLTI: lambda a, b: int(a < b),
-    Op.SLEI: lambda a, b: int(a <= b),
-    Op.SGTI: lambda a, b: int(a > b),
-    Op.SGEI: lambda a, b: int(a >= b),
-}
+#: imm-form -> the same python function
+_IMM_FOLD = dict(_FOLDABLE.values())
+
+#: Propagation + DCE rounds per :func:`optimize` call, at most.
+OPTIMIZE_ROUNDS = 3
 
 #: Memory ops whose base register, when a known constant, can fold into
 #: the offset (base becomes the zero register).  Only the analysis
@@ -249,14 +238,14 @@ def eliminate_dead_code(ir, fg) -> int:
     return removed
 
 
-def optimize(ir, fg_builder, liveness_fn, rounds: int = 3, cost=None,
-             recorder=None, verifier=None,
-             fold_mem_base: bool = False) -> None:
-    """Run propagation + DCE to a (bounded) fixpoint.  ``fg_builder`` and
+def optimize(ir, fg_builder, liveness_fn, cost=None, recorder=None,
+             verifier=None, fold_mem_base: bool = False) -> None:
+    """Run propagation + DCE to a fixpoint, bounded by
+    :data:`OPTIMIZE_ROUNDS`.  ``fg_builder`` and
     ``liveness_fn`` are injected to avoid circular imports.  ``verifier``,
     when given, is called with a pass name after every optimization round
     so paranoid mode can re-check IR well-formedness between passes."""
-    for round_no in range(rounds):
+    for round_no in range(OPTIMIZE_ROUNDS):
         if cost is not None:
             cost.charge(IR_OPTIMIZE, len(ir.instrs))
         work = 0

@@ -6,12 +6,15 @@ four pillars in one package:
 :mod:`repro.obs.slo`
     declarative latency/availability objectives with windowed error
     budgets and multi-window burn-rate alerts (:class:`SloEngine`),
-    scored live over each serving engine's request stream;
+    scored live over each serving engine's request stream (runs and
+    calls alike; a call compiles nothing, so only availability
+    objectives score it);
 :mod:`repro.obs.flightrec`
-    the black-box flight recorder — a bounded ring of recent request
-    records that dumps a self-contained diagnostic bundle (JSON + Chrome
-    trace) when a breaker opens, traps storm, deadlines burst, chaos
-    poisons a template, or ``Engine.dump_blackbox()`` is called;
+    the black-box flight recorder — a bounded ring of the rows
+    ``Session.request`` builds, one per run or call served, that dumps
+    a self-contained diagnostic bundle (JSON + Chrome trace) when a
+    breaker opens, traps storm, deadlines burst, chaos poisons a
+    template, or ``Engine.dump_blackbox()`` is called;
 :mod:`repro.obs.openmetrics`
     OpenMetrics text exposition of the whole metrics registry (with
     per-bucket exemplars carrying request correlation ids) plus a
@@ -31,7 +34,7 @@ from __future__ import annotations
 import weakref
 
 from repro import report as _report
-from repro.obs.flightrec import FlightRecorder, RequestRecord
+from repro.obs.flightrec import FlightRecorder
 from repro.obs.openmetrics import CONTENT_TYPE, parse, render, validate
 from repro.obs.server import ObsServer, attach, attached, slo_status
 from repro.obs.slo import (
@@ -45,7 +48,7 @@ from repro.obs.slo import (
 __all__ = [
     "SloObjective", "SloPolicy", "SloEngine", "SloStatus",
     "default_policy",
-    "FlightRecorder", "RequestRecord",
+    "FlightRecorder",
     "render", "parse", "validate", "CONTENT_TYPE",
     "ObsServer", "attach", "attached", "slo_status",
 ]

@@ -1,23 +1,25 @@
 """The black-box flight recorder: recent-request ring + trigger dumps.
 
 A :class:`FlightRecorder` hangs off one serving
-:class:`~repro.serving.engine.Engine` and keeps a bounded ring of
-:class:`RequestRecord` rows — one per request served by any session,
-appended by ``Session.request`` after the outcome is known.  The record
-is deliberately small (a tuple of scalars: outcome, tier, serving path,
-retries, deadline budget/slack, compile-rung transitions, chaos events,
-a correlation id, optionally a truncated span tree when the session
-traces), so recording is always on and costs one deque append.
+:class:`~repro.serving.engine.Engine` and keeps a bounded ring of request
+rows — one per request (run or call) served by any session: the plain
+dict ``Session.request`` builds once the outcome is known, plus the
+recorder's ``index``.  The row is deliberately small (scalars and short
+tuples: outcome, tier, serving path, retries, deadline budget/slack,
+compile-rung transitions, chaos events, a correlation id, optionally a
+truncated span tree when the session traces) and holds no exception or
+traceback, so recording is always on and costs one deque append.
 
 On a **trigger** — a circuit breaker opening, a trap-storm pin to the
 reference stepper, a burst of deadline misses, a chaos poison, or an
 explicit ``Engine.dump_blackbox()`` — the recorder snapshots a
 self-contained diagnostic *bundle*: the trigger event, the retained
-request records, the trigger-event feed, the engine's SLO status, and
-the global serving counters.  ``$REPRO_BLACKBOX_DIR`` (or the
-``dump_dir`` argument) makes every trigger also write the bundle to disk
-as JSON plus a Chrome-trace rendering of the retained records, so a CI
-chaos failure ships its own post-mortem artifact.  Dump files rotate
+request rows, the trigger-event feed, the engine's SLO status, and the
+global serving counters (:func:`repro.report.serving_stats`, the same
+view ``Engine.stats()["serving"]`` returns).  ``$REPRO_BLACKBOX_DIR``
+(or the ``dump_dir`` argument) makes every trigger also write the bundle
+to disk as JSON plus a Chrome-trace rendering of the retained rows, so a
+CI chaos failure ships its own post-mortem artifact.  Dump files rotate
 (``blackbox-0..N``) so a trigger storm cannot fill the disk.
 """
 
@@ -28,6 +30,7 @@ import os
 import threading
 from collections import deque
 
+from repro import report
 from repro.telemetry.metrics import REGISTRY, EventLog
 
 #: Request records retained by default.
@@ -50,49 +53,8 @@ TRIGGER_KINDS = ("breaker_open", "trap_storm", "deadline_burst",
                  "chaos_poison", "manual")
 
 
-class RequestRecord:
-    """One request's black-box row (plain scalars only)."""
-
-    __slots__ = ("index", "session", "builder", "correlation_id", "ok",
-                 "error", "tier", "path", "retries", "cycles",
-                 "deadline", "deadline_slack", "rungs", "exec_engine",
-                 "chaos", "breaker_opens", "wall_us", "spans")
-
-    def __init__(self, index, session, builder, correlation_id, ok,
-                 error, tier, path, retries, cycles, deadline,
-                 deadline_slack, rungs, exec_engine, chaos,
-                 breaker_opens, wall_us, spans=()):
-        self.index = index
-        self.session = session
-        self.builder = builder
-        self.correlation_id = correlation_id
-        self.ok = ok
-        self.error = error
-        self.tier = tier
-        self.path = path
-        self.retries = retries
-        self.cycles = cycles
-        self.deadline = deadline
-        self.deadline_slack = deadline_slack
-        self.rungs = tuple(rungs)
-        self.exec_engine = exec_engine
-        self.chaos = tuple(chaos)
-        self.breaker_opens = breaker_opens
-        self.wall_us = wall_us
-        self.spans = tuple(spans)
-
-    def to_dict(self) -> dict:
-        return {slot: _plain(getattr(self, slot))
-                for slot in self.__slots__}
-
-    def __repr__(self) -> str:
-        status = "ok" if self.ok else f"error={self.error}"
-        return (f"<RequestRecord #{self.index} {self.correlation_id} "
-                f"{status} tier={self.tier} path={self.path}>")
-
-
 def _plain(value):
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
@@ -135,8 +97,8 @@ class FlightRecorder:
 
     # -- recording ----------------------------------------------------------
 
-    def record(self, record_kwargs: dict, triggers=()) -> None:
-        """Append one request record; fire any detected triggers.
+    def record(self, row: dict, triggers=()) -> None:
+        """Keep one request row (``index`` added); fire any triggers.
 
         ``triggers`` carries the caller-detected trigger kinds (breaker
         opened during the request, chaos poison injected, ...); the
@@ -146,72 +108,59 @@ class FlightRecorder:
             self._seq += 1
             if len(self._records) == self._records.maxlen:
                 self._dropped.inc()
-            record = RequestRecord(index=self._seq, **record_kwargs)
-            self._records.append(record)
+            row = dict(row, index=self._seq)
+            self._records.append(row)
             fired = list(triggers)
-            self._recent_deadline_misses.append(
-                record.error == "DeadlineExceeded")
-            if (sum(self._recent_deadline_misses) >= DEADLINE_BURST
-                    and record.error == "DeadlineExceeded"):
+            missed = row["error"] == "DeadlineExceeded"
+            self._recent_deadline_misses.append(missed)
+            if missed and sum(self._recent_deadline_misses) >= DEADLINE_BURST:
                 fired.append("deadline_burst")
                 self._recent_deadline_misses.clear()
         for kind in fired:
-            self.trigger(kind, record)
+            self.trigger(kind, row)
 
-    def trigger(self, kind: str, record=None, dump: bool = True) -> dict:
+    def trigger(self, kind: str, row=None) -> dict:
         """Note one trigger event; dump a bundle when a dump dir is
         configured.  Returns the bundle."""
         if kind not in TRIGGER_KINDS:
             raise ValueError(f"unknown trigger kind {kind!r}")
         self._triggers.inc(kind)
-        self.events.append({
+        event = {
             "kind": kind,
-            "index": record.index if record is not None else self._seq,
-            "correlation_id": (record.correlation_id
-                               if record is not None else None),
-        })
-        bundle = self.bundle(trigger=kind, record=record)
-        if dump and self.dump_dir:
+            "index": row["index"] if row else self._seq,
+            "correlation_id": row["correlation_id"] if row else None,
+        }
+        self.events.append(event)
+        bundle = self.bundle(event)
+        if self.dump_dir:
             self._write_dump(bundle)
         return bundle
 
     # -- bundles ------------------------------------------------------------
 
-    def bundle(self, trigger: str = "manual", record=None,
-               slo_status=None) -> dict:
-        """The self-contained post-mortem: trigger, retained records,
-        the trigger-event feed, SLO status, and serving counters."""
+    def bundle(self, event=None) -> dict:
+        """The self-contained post-mortem: trigger, retained rows, the
+        trigger-event feed, SLO status, and serving counters.  ``event``
+        is the trigger event :meth:`trigger` noted (default: a manual
+        one at the latest row)."""
         with self._lock:
             records = list(self._records)
-        serving = {name: REGISTRY.counter(name).value
-                   for name in ("serving.requests", "serving.completed",
-                                "serving.failed", "serving.retries",
-                                "serving.deadline_misses",
-                                "serving.breaker_opens",
-                                "serving.degraded")}
         out = {
             "recorder": self.name,
-            "trigger": {
-                "kind": trigger,
-                "correlation_id": (record.correlation_id
-                                   if record is not None else None),
-                "index": (record.index if record is not None
-                          else self._seq),
-            },
+            "trigger": event or {"kind": "manual", "index": self._seq,
+                                 "correlation_id": None},
             "capacity": self.capacity,
             "recorded_total": self._seq,
-            "records": [r.to_dict() for r in records],
+            "records": [_plain(row) for row in records],
             "events": self.events.snapshot(),
-            "serving": serving,
+            "serving": report.serving_stats(),
         }
-        if slo_status is None and self.slo_source is not None:
-            slo_status = self.slo_source()
-        if slo_status is not None:
-            out["slo"] = slo_status.to_dict()
+        if self.slo_source is not None:
+            out["slo"] = self.slo_source().to_dict()
         return out
 
     def to_chrome_trace(self) -> dict:
-        """The retained records as a Chrome trace-event JSON object: one
+        """The retained rows as a Chrome trace-event JSON object: one
         complete event per request on the host-time axis (µs), named by
         correlation id, error/degradation surfaced as args — load in
         Perfetto next to the bundle JSON."""
@@ -223,20 +172,21 @@ class FlightRecorder:
         ]
         cursor = 0.0
         tids = {}
-        for r in records:
-            tid = tids.setdefault(r.session, len(tids) + 1)
-            dur = max(float(r.wall_us or 1.0), 1.0)
+        for row in records:
+            tid = tids.setdefault(row["session"], len(tids) + 1)
+            dur = max(float(row["wall_us"] or 1.0), 1.0)
             events.append({
-                "name": f"{r.builder} [{r.path}]",
-                "cat": "request" if r.ok else "request,error",
+                "name": f"{row['builder'] or 'call'} [{row['path']}]",
+                "cat": "request" if row["ok"] else "request,error",
                 "ph": "X", "ts": round(cursor, 1), "dur": round(dur, 1),
                 "pid": 1, "tid": tid,
                 "args": {
-                    "correlation_id": r.correlation_id,
-                    "ok": r.ok, "error": r.error, "tier": r.tier,
-                    "path": r.path, "retries": r.retries,
-                    "cycles": r.cycles, "rungs": repr(list(r.rungs)),
-                    "chaos": repr(list(r.chaos)),
+                    "correlation_id": row["correlation_id"],
+                    "ok": row["ok"], "error": row["error"],
+                    "tier": row["tier"], "path": row["path"],
+                    "retries": row["retries"], "cycles": row["cycles"],
+                    "rungs": repr(list(row["rungs"])),
+                    "chaos": repr(list(row["chaos"])),
                 },
             })
             cursor += dur

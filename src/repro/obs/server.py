@@ -52,7 +52,7 @@ def attached():
 
 
 def slo_status():
-    """The SLO status behind ``/slo`` and ``report slo``: the attached
+    """The SLO status behind ``/slo`` and ``report_slo()``: the attached
     engine's live :class:`~repro.obs.slo.SloStatus`, or None when no
     engine is attached or the attached one monitors no SLOs."""
     slo = getattr(attached(), "slo", None)

@@ -4,7 +4,9 @@ An :class:`SloPolicy` is a set of :class:`SloObjective` rows — "99% of
 ``patched``-path requests finish within 3 000 modeled cycles", "99.5% of
 all requests succeed" — and an :class:`SloEngine` evaluates one policy
 incrementally over the serving request stream (:meth:`SloEngine.observe`
-is fed every :class:`~repro.serving.engine.RequestOutcome`).
+is fed every :class:`~repro.serving.engine.RequestOutcome`, runs and
+calls alike; a call compiles nothing, so its path is None and only
+availability objectives score it).
 
 Error budgets and burn rates
 ----------------------------
@@ -159,19 +161,20 @@ class SloPolicy:
                 f"{' protective' if self.protective else ''}>")
 
 
-def default_policy(protective: bool = False) -> SloPolicy:
+def default_policy() -> SloPolicy:
     """The out-of-the-box serving policy: one modeled-cycle latency
     objective on end-to-end (compile + execute) request cycles for each
     path a served request can take, plus one availability objective.
     A degraded compile is a cold build on a lower rung, so ``degrade``
-    shares the cold threshold."""
+    shares the cold threshold.  Monitor-only: build an
+    ``SloPolicy(..., protective=True)`` to let it floor the ladder."""
     return SloPolicy([
         SloObjective("hit-latency", path="hit", threshold=3_000),
         SloObjective("patched-latency", path="patched", threshold=10_000),
         SloObjective("cold-latency", path="cold", threshold=300_000),
         SloObjective("degrade-latency", path="degrade", threshold=300_000),
         SloObjective("availability", kind="availability", target=0.995),
-    ], name="default", protective=protective)
+    ], name="default")
 
 
 class ObjectiveStatus:
@@ -218,7 +221,7 @@ class ObjectiveStatus:
 
 
 class SloStatus:
-    """The whole policy's evaluated state; what ``report slo``, the
+    """The whole policy's evaluated state; what ``report_slo()``, the
     ``/slo`` endpoint, and the serving benchmark's verdict consume."""
 
     __slots__ = ("policy", "statuses", "observed")

@@ -13,7 +13,6 @@ Usage::
     python -m repro.report hot        # hottest traces/superblocks (tiered)
     python -m repro.report cache      # code-cache stats (memory + disk)
     python -m repro.report analysis   # guard elision + factcheck stats
-    python -m repro.report slo        # SLO burn-rate / error-budget status
     python -m repro.report all
     python -m repro.report scrape [--demo N]
     python -m repro.report serve [--host H] [--port P] [--demo N]
@@ -34,7 +33,9 @@ metrics registry and exits.  ``serve`` binds the stdlib status endpoint
 N requests of the deterministic heavy-tailed workload
 (:mod:`repro.obs.workload`) through a fresh serving engine, so there are
 hit/patched/cold latency histograms, SLO state and a flight-recorder
-ring to expose.
+ring to expose.  SLO state lives in a serving engine, so out of process
+it is read from ``serve --demo N``'s ``/slo``; in process,
+``report_slo()`` renders the attached engine's table.
 
 Numbers are deterministic (simulated machine + modeled codegen cycles).
 """
@@ -385,7 +386,8 @@ def report_analysis() -> str:
 def report_slo() -> str:
     """The attached engine's live SLO status from
     :func:`repro.obs.server.slo_status`, the same view the ``/slo``
-    endpoint serves."""
+    endpoint serves, as text.  In-process only: a fresh process has no
+    engine attached."""
     status = server.slo_status()
     if status is None:
         return "Serving SLOs: no serving engine with an SLO policy is attached"
@@ -487,7 +489,6 @@ REPORTS = {
     "hot": report_hot,
     "cache": report_cache,
     "analysis": report_analysis,
-    "slo": report_slo,
 }
 
 

@@ -22,7 +22,11 @@ the session's own thread.
 Every request runs inside a robustness envelope (see
 :mod:`repro.serving.envelope`): a modeled-cycle deadline, bounded
 retries with backoff for transient faults, and the circuit-breaker
-degradation ladder (:mod:`repro.serving.breaker`).
+degradation ladder (:mod:`repro.serving.breaker`).  ``Session.run`` and
+``Session.call`` are served by ``Session.request`` too, so each run and
+each call takes a correlation id and a chaos-schedule slot, counts into
+``serving.*``, is scored by the engine's SLO engine and leaves one row
+in its flight recorder.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ class RequestOutcome:
     never leak exceptions, a failing client must not take the session
     (let alone the engine) down with it.  ``tier`` names the worst
     ladder rung the request was served at, ``path`` the compile path of
-    the last compile() (``hit``/``patched``/``cold``/``degrade``/...),
-    ``cycles`` the modeled cycles charged against the deadline.
+    the request's last compile() (``hit``/``patched``/``cold``/
+    ``degrade``/...; None when it compiled nothing), ``cycles`` the
+    modeled cycles charged against the deadline.
     """
 
     __slots__ = ("value", "entry", "error", "tier", "path", "retries",
@@ -92,7 +97,7 @@ class Engine:
     """The shared half of the serving system; a session factory."""
 
     def __init__(self, source, *, share_templates: bool = True,
-                 templates_per_shape: int = 8, verify: str | None = None,
+                 verify: str | None = None,
                  chaos: ChaosPlan | None | object = _UNSET,
                  codecache_dir: str | None = None,
                  slo: object = _UNSET, recorder: object = _UNSET,
@@ -137,8 +142,7 @@ class Engine:
                 disk = DiskCodeCache(
                     codecache_dir,
                     program_key=program_namespace(self.program.source))
-            self.store = TemplateStore(
-                templates_per_shape=templates_per_shape, disk=disk)
+            self.store = TemplateStore(disk=disk)
         elif codecache_dir:
             # No shared store to hang the disk tier on: each session's
             # private store owns a handle (same directory; safe under the
@@ -247,16 +251,20 @@ class Session:
 
     # -- the request API ---------------------------------------------------
 
-    def request(self, builder: str, builder_args=(), call_args=None,
+    def request(self, builder: str | None, builder_args=(), call_args=None,
                 fcall_args=(), returns: str = "i",
                 deadline: int | None | object = _UNSET,
-                name: str | None = None) -> RequestOutcome:
+                name: str | None = None,
+                entry: int | None = None) -> RequestOutcome:
         """Serve one request: run the spec-time ``builder`` (its
         ``compile()`` calls go through the envelope), then — when
         ``call_args`` is not None — execute the compiled function it
-        returned, all under one deadline.  Failures are captured in the
-        outcome, never raised: one client's crash must not unwind
-        another's serving loop.
+        returned, all under one deadline.  With ``builder=None`` nothing
+        runs at spec time and the already-compiled ``entry`` is executed
+        (a call, compile path None).  Either way the request is counted,
+        scored and recorded.  Failures are captured in the outcome, never
+        raised: one client's crash must not unwind another's serving
+        loop.
         """
         if self.closed:
             raise RuntimeTccError(f"session {self.name!r} is closed")
@@ -275,13 +283,18 @@ class Session:
         wall0 = time.perf_counter_ns()
         process = self.process
         process.envelope = envelope
+        process._compile_path = None
         try:
             with exemplar_context(correlation_id):
-                entry = process.run(builder, *builder_args)
+                if builder is not None:
+                    entry = process.run(builder, *builder_args)
                 outcome.entry = entry
                 for addr, key in envelope.compiled:
                     self._entry_keys[addr] = key
-                if call_args is not None and isinstance(entry, int):
+                # A call executes the entry it was given, so a bad one
+                # traps as the machine reports it.
+                if call_args is not None and (builder is None
+                                              or isinstance(entry, int)):
                     outcome.value = envelope.execute(
                         process, entry, call_args, fcall_args, returns,
                         name=name or builder,
@@ -362,8 +375,7 @@ class Session:
     def run(self, builder: str, *args, deadline: int | None | object = _UNSET):
         """Enveloped spec-time run that *raises* on failure (the
         ergonomic single-client API; serving loops want :meth:`request`)."""
-        outcome = self.request(builder, args, call_args=None,
-                               deadline=deadline)
+        outcome = self.request(builder, args, deadline=deadline)
         if outcome.error is not None:
             raise outcome.error
         return outcome.value
@@ -371,20 +383,14 @@ class Session:
     def call(self, entry: int, args=(), fargs=(), returns: str = "i",
              name: str | None = None,
              deadline: int | None | object = _UNSET):
-        """Enveloped execution of an already-compiled entry; raises on
-        failure."""
-        if self.closed:
-            raise RuntimeTccError(f"session {self.name!r} is closed")
-        budget = self.deadline if deadline is _UNSET else deadline
-        envelope = Envelope(self.breakers, DeadlineClock(budget),
-                            self.retry)
-        try:
-            return envelope.execute(self.process, entry, args, fargs,
-                                    returns, name=name,
-                                    key=self._entry_keys.get(entry))
-        except DeadlineExceeded:
-            report.record_deadline_miss()
-            raise
+        """Enveloped execution of an already-compiled entry, served as a
+        request; raises on failure."""
+        outcome = self.request(None, call_args=args, fcall_args=fargs,
+                               returns=returns, deadline=deadline,
+                               name=name, entry=entry)
+        if outcome.error is not None:
+            raise outcome.error
+        return outcome.value
 
     @staticmethod
     def _tier_of(envelope: Envelope) -> str:

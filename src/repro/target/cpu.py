@@ -206,7 +206,6 @@ class Machine:
                  icache: ICache | None = None,
                  code_capacity: int = DEFAULT_CODE_CAPACITY,
                  engine: str = "tiered",
-                 telemetry: str | None = None,
                  tiering=None, tiering_shared=None):
         if engine not in ENGINES:
             raise MachineError(
@@ -220,13 +219,8 @@ class Machine:
         self.icache = icache
         self.engine = engine
         # Execution-span tracing: off by default (the hot path pays one
-        # attribute check); a Process usually installs its own tracer.
+        # attribute check); a Process installs its own tracer.
         self.tracer = None
-        if telemetry is not None:
-            from repro.telemetry.trace import Tracer, resolve_mode
-
-            if resolve_mode(telemetry) != "off":
-                self.tracer = Tracer(telemetry)
         self.output: list = []
         self._host_functions: list = []
         self._host_index: dict = {}

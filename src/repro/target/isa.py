@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import struct
 
 from repro.errors import IllegalInstruction
 
@@ -273,6 +274,16 @@ def fdiv(x: float, y: float) -> float:
         if x == 0:
             return math.nan
         return math.copysign(1.0, x) * math.copysign(1.0, y) * math.inf
+
+
+def bit_exact_eq(a, b) -> bool:
+    """Operand equality as the machine sees it: ``-0.0`` vs ``0.0`` and
+    distinct NaNs never alias, and a float never equals an int."""
+    if isinstance(a, float) != isinstance(b, float):
+        return False
+    if isinstance(a, float):
+        return struct.pack(">d", a) == struct.pack(">d", b)
+    return a == b
 
 
 #: Immediate-form opcode -> its register-form base (``ADDI`` -> ``ADD``).

@@ -16,8 +16,8 @@ Three pieces (see docs/INTERNALS.md, "Telemetry"):
 
 The knob: ``telemetry="off" | "on" | "sample:N"`` on
 :class:`~repro.core.driver.TccCompiler`,
-:meth:`~repro.core.driver.CompiledProgram.start`,
-:class:`~repro.target.cpu.Machine`, and
+:meth:`~repro.core.driver.CompiledProgram.start` (which installs the
+process's tracer on its machine) and
 :func:`repro.apps.harness.measure`.  Default is **off** (hot paths pay
 one attribute check); metrics are always on (they are cheap and the
 ``report`` accessors depend on them).

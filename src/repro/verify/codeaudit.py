@@ -32,8 +32,6 @@ immediates once installed.
 
 from __future__ import annotations
 
-import math
-
 from repro import verify
 from repro.core.operands import FuncRef
 from repro.target.isa import (
@@ -42,6 +40,7 @@ from repro.target.isa import (
     SAFE_TO_CHECKED,
     Instruction,
     Op,
+    bit_exact_eq,
     wrap32,
 )
 from repro.target.program import Label
@@ -107,15 +106,6 @@ def check_range(machine, start: int, end: int, where: str = "install") -> list:
     return diags
 
 
-def _values_equal(got, expected) -> bool:
-    if isinstance(expected, float) or isinstance(got, float):
-        if isinstance(got, float) and isinstance(expected, float):
-            if math.isnan(got) and math.isnan(expected):
-                return True
-        return got == expected
-    return got == expected
-
-
 def check_template(machine, records, signature, new_entry: int,
                    where: str = "template") -> list:
     """Replay a Tier-2 instantiation of ``records`` (a template's
@@ -164,7 +154,7 @@ def check_template(machine, records, signature, new_entry: int,
                     expected[field] = wrap32(int(raw) * scl + add)
         for field in ("a", "b", "c"):
             got = getattr(emitted, field)
-            if not _values_equal(got, expected[field]):
+            if not bit_exact_eq(got, expected[field]):
                 _diag(diags, "mispatched-template",
                       f"@{new_entry + rel}: operand {field} is {got!r}, "
                       f"expected {expected[field]!r} (delta {delta})", where)

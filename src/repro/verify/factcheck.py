@@ -59,7 +59,14 @@ from __future__ import annotations
 
 from repro import verify
 from repro.analysis.facts import validate_fact
-from repro.target.isa import MEM_WIDTH, SAFE_MEM_OPS, SAFE_TO_CHECKED, Op, Reg
+from repro.target.isa import (
+    MEM_WIDTH,
+    SAFE_MEM_OPS,
+    SAFE_TO_CHECKED,
+    Op,
+    Reg,
+    bit_exact_eq,
+)
 from repro.target.memory import NULL_GUARD
 
 _CHECKED_MEM_OPS = frozenset(SAFE_TO_CHECKED.values())
@@ -342,20 +349,11 @@ def failing_facts(instructions, entry: int, facts, memory) -> set:
 # -- pruned-guard entailment ---------------------------------------------------
 
 
-def _guard_key_equal(a, b) -> bool:
-    if isinstance(a, float) != isinstance(b, float):
-        return False
-    if isinstance(a, float):
-        import struct
-        return struct.pack(">d", a) == struct.pack(">d", b)
-    return a == b
-
-
 def _entailed(guard, kept) -> bool:
     addr, width, value = guard
     for k_addr, k_width, k_value in kept:
         if k_addr == addr and k_width == width \
-                and _guard_key_equal(k_value, value):
+                and bit_exact_eq(k_value, value):
             return True
         if (width in ("b", "bu") and k_width == "w"
                 and isinstance(value, int) and isinstance(k_value, int)

@@ -4,6 +4,7 @@ specialization-steering values, guards, and invalidation."""
 
 import math
 import struct
+from types import SimpleNamespace
 
 import pytest
 
@@ -100,6 +101,14 @@ int a[8];
 int build(int n) {
     int vspec i = param(int, 0);
     return (int)compile(`{ a[3] = i; return a[3] + $n; }, int);
+}
+"""
+
+
+FSCALE = """
+int build(double d) {
+    double vspec x = param(double, 0);
+    return (int)compile(`(x * $d), double);
 }
 """
 
@@ -534,6 +543,32 @@ class TestTransactionalClone:
         before = len(seg.instructions)
         with pytest.raises(VerifyError):
             proc.run("build", 42)
+        assert len(seg.instructions) == before      # unpublished
+
+    def test_sign_dropping_clone_is_caught(self, monkeypatch):
+        # The publish gate compares bit for bit: a clone that writes a
+        # -0.0 hole as 0.0 must never go live.
+        proc = compile_c(FSCALE)
+        proc.run("build", 1.5)
+        entry = proc.run("build", -0.0)
+        assert proc._compile_path == "patched"
+        assert math.copysign(1.0, proc.function(entry, "f", "f")(1.0)) == -1.0
+
+        proc = compile_c(FSCALE)
+        proc.run("build", 1.5)
+        seg = proc.machine.code
+        original = CodeCache.instantiate_template
+
+        def unsigned(self, records, signature, machine, cost):
+            values = [abs(v) if isinstance(v, float) else v
+                      for v in signature.values]
+            return original(self, records, SimpleNamespace(values=values),
+                            machine, cost)
+
+        monkeypatch.setattr(CodeCache, "instantiate_template", unsigned)
+        before = len(seg.instructions)
+        with pytest.raises(VerifyError, match="mispatched-template"):
+            proc.run("build", -0.0)
         assert len(seg.instructions) == before      # unpublished
 
     def test_poisoned_template_is_evicted_and_recompiled(self):

@@ -14,10 +14,13 @@ mid-run, under the same programs the reference executes.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import report
+from repro.apps import ALL_APPS, blur_app, heap_app
 from repro.apps.table1 import TABLE1_ROWS
 from repro.errors import (
     CycleBudgetExceeded,
@@ -28,7 +31,7 @@ from repro.errors import (
 )
 from repro.target.cpu import ENGINES, ICache, Machine
 from repro.target.dispatch import MAX_BLOCK_INSTRUCTIONS
-from repro.target.isa import CYCLE_COST, Instruction, Op, Reg
+from repro.target.isa import CYCLE_COST, FReg, Instruction, Op, Reg
 from tests.conftest import compile_c
 from tests.test_program_properties import programs
 
@@ -136,6 +139,57 @@ def test_loop_program_agrees_per_backend(backend):
     assert results["block"] == results["reference"]
     assert results["tiered"] == results["reference"]
     assert results["block"][0] == 385
+
+
+def _state(machine, value):
+    """What a call leaves behind: its result, cycles, registers, float
+    registers and memory.  Floats compare by their bits (``float.hex``:
+    -0.0 and 0.0 differ, and a NaN equals itself)."""
+    cpu = machine.cpu
+    if isinstance(value, float):
+        value = value.hex()
+    return (value, cpu.cycles, list(cpu.regs), [f.hex() for f in cpu.fregs],
+            bytes(machine.memory._data))
+
+
+#: Back-end configurations of the app differential.
+APP_CONFIGS = {
+    "icode": {"backend": "icode"},
+    "vcode": {"backend": "vcode"},
+    "icode-analysis": {"backend": "icode", "analysis": "on"},
+}
+
+#: Apps whose tiered runs are dominated by trace compiles run on ICODE
+#: only: every opcode they execute on the other two configurations they
+#: also execute there.
+ICODE_ONLY_APPS = ("heap", "blur")
+
+
+@pytest.mark.parametrize("config, name", [
+    (config, name) for config in APP_CONFIGS for name in ALL_APPS
+    if config == "icode" or name not in ICODE_ONLY_APPS
+])
+def test_app_agrees_with_reference(config, name, monkeypatch):
+    """Each app's builder and call leave the reference stepper and the
+    tiered engine in the same state: result, cycles, registers, float
+    registers, memory.  This is what runs the stepper's calls, byte and
+    double memory ops, float ops and safe-memory ops on real programs."""
+    # Smaller heap and image keep the reference stepper quick; the code
+    # generated is the same, since neither size is a `$` binding that
+    # steers specialization.
+    monkeypatch.setattr(heap_app, "COUNT", 100)
+    monkeypatch.setattr(blur_app, "WIDTH", 16)
+    monkeypatch.setattr(blur_app, "HEIGHT", 12)
+    app = ALL_APPS[name]
+    states = {}
+    for engine in ("reference", "tiered"):
+        proc = compile_c(app.source, engine=engine, **APP_CONFIGS[config])
+        ctx = app.setup(proc)
+        entry = proc.run(app.builder, *app.builder_args(ctx))
+        fn = proc.function(entry, app.dyn_signature, app.dyn_returns,
+                           name=app.name)
+        states[engine] = _state(proc.machine, app.dyn_call(fn, ctx))
+    assert states["tiered"] == states["reference"]
 
 
 # -- trap taxonomy --------------------------------------------------------------
@@ -299,6 +353,106 @@ def test_hostcall_agreement():
         assert machine.call(entry) == 1
         assert seen == [33], engine
         assert machine.cpu.regs[Reg.ZERO] == 0
+
+
+# -- opcodes no app executes ----------------------------------------------------
+
+def _final_states(instrs, args=(), fargs=(), returns="i"):
+    """Run ``instrs`` on a fresh machine per engine; every engine must
+    leave the reference's :func:`_state`.  Returns the result."""
+    states, values = {}, {}
+    for engine in ENGINES:
+        machine = Machine(engine=engine, tiering=HOT2)
+        entry = machine.code.extend(list(instrs))
+        machine.code.link()
+        values[engine] = machine.call(entry, args, fargs, returns)
+        states[engine] = _state(machine, values[engine])
+    assert states["block"] == states["reference"]
+    assert states["tiered"] == states["reference"]
+    return values["reference"]
+
+
+FLOAT_COMPARES = (Op.FSEQ, Op.FSNE, Op.FSLT, Op.FSLE, Op.FSGT, Op.FSGE)
+
+
+@pytest.mark.parametrize("x, y", [
+    (1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (-0.0, 0.0), (math.nan, 1.0),
+])
+def test_float_compares_agree(x, y):
+    instrs = [Instruction(Op.LI, Reg.RV, 0)]
+    for bit, op in enumerate(FLOAT_COMPARES):
+        instrs += [Instruction(op, Reg.T0, FReg.F1, FReg.F2),
+                   Instruction(Op.SLLI, Reg.T0, Reg.T0, bit),
+                   Instruction(Op.OR, Reg.RV, Reg.RV, Reg.T0)]
+    instrs.append(Instruction(Op.RET))
+    want = sum(int(held) << bit for bit, held in enumerate(
+        (x == y, x != y, x < y, x <= y, x > y, x >= y)))
+    assert _final_states(instrs, fargs=(x, y)) == want
+
+
+@pytest.mark.parametrize("op, a0, want", [
+    (Op.NEG, 5, -5), (Op.NEG, -2**31, -2**31),
+    (Op.NOT, 5, -6), (Op.NOT, -1, 0),
+])
+def test_int_unary_ops_agree(op, a0, want):
+    instrs = [Instruction(op, Reg.RV, Reg.A0), Instruction(Op.RET)]
+    assert _final_states(instrs, args=(a0,)) == want
+
+
+def test_nop_agrees():
+    instrs = [Instruction(Op.NOP), Instruction(Op.LI, Reg.RV, 7),
+              Instruction(Op.RET)]
+    assert _final_states(instrs) == 7
+
+
+@pytest.mark.parametrize("store, load, load_unsigned", [
+    (Op.SB, Op.LB, Op.LBU),
+    (Op.SBS, Op.LBS, Op.LBUS),
+])
+def test_byte_ops_agree(store, load, load_unsigned):
+    # A byte store keeps the low 8 bits; the signed load sign-extends
+    # them and the unsigned one does not.
+    instrs = [
+        Instruction(store, Reg.A0, Reg.SP, -4),
+        Instruction(load, Reg.T0, Reg.SP, -4),
+        Instruction(load_unsigned, Reg.T1, Reg.SP, -4),
+        Instruction(Op.SLLI, Reg.T1, Reg.T1, 16),
+        Instruction(Op.SUB, Reg.RV, Reg.T1, Reg.T0),
+        Instruction(Op.RET),
+    ]
+    assert _final_states(instrs, args=(0x1FF,)) == (0xFF << 16) + 1
+
+
+@pytest.mark.parametrize("store, load", [
+    (Op.FSW, Op.FLW), (Op.FSWS, Op.FLWS),
+])
+def test_double_ops_agree(store, load):
+    instrs = [
+        Instruction(store, FReg.F1, Reg.SP, -16),
+        Instruction(load, FReg.F0, Reg.SP, -16),
+        Instruction(Op.RET),
+    ]
+    got = _final_states(instrs, fargs=(-0.0,), returns="f")
+    assert got.hex() == (-0.0).hex()
+
+
+@pytest.mark.parametrize("x, want", [(1.5, -1.5), (0.0, -0.0)])
+def test_fneg_agrees(x, want):
+    instrs = [Instruction(Op.FNEG, FReg.F0, FReg.F1), Instruction(Op.RET)]
+    got = _final_states(instrs, fargs=(x,), returns="f")
+    assert got.hex() == want.hex()
+
+
+def test_conversions_agree():
+    # int -> double -> scaled -> int, truncating toward zero
+    instrs = [
+        Instruction(Op.CVTIF, FReg.F4, Reg.A0),
+        Instruction(Op.FMUL, FReg.F4, FReg.F4, FReg.F1),
+        Instruction(Op.CVTFI, Reg.RV, FReg.F4),
+        Instruction(Op.RET),
+    ]
+    assert _final_states(instrs, args=(-7,), fargs=(0.5,)) == -3
+    assert _final_states(instrs, args=(7,), fargs=(0.5,)) == 3
 
 
 @pytest.mark.parametrize("bad_index", [-1, 99, None])

@@ -232,7 +232,7 @@ class TestFlightRecorder:
         for i in range(10):
             rec.record(_record_kwargs(i))
         assert len(rec) == 4
-        assert rec.records()[0].index == 7     # oldest retained
+        assert rec.records()[0]["index"] == 7  # oldest retained
         assert REGISTRY.counter(
             "obs.flightrec.dropped_records").value - base == 6
 
@@ -553,13 +553,15 @@ class TestReportSlo:
         assert text == ("Serving SLOs: no serving engine with an SLO "
                         "policy is attached")
 
-    def test_cli_subcommand(self, capsys):
+    def test_no_cli_subcommand(self, capsys):
+        # A fresh process never has an engine attached; out of process
+        # the SLO view is `serve --demo N`'s /slo.
         eng = Engine(ADDER, chaos=None)
         with eng.session() as s:
             s.request("make_adder", (1,), call_args=(1,))
         assert attached() is eng
-        assert report_cli.main(["slo"]) == 0
-        assert "burn" in capsys.readouterr().out
+        assert report_cli.main(["slo"]) == 1
+        assert "python -m repro.report" in capsys.readouterr().out
 
 
 class TestResetClearsThePlane:

@@ -97,6 +97,20 @@ class TestDeclarators:
         with pytest.raises(ParseError):
             parse("int a[-1];")
 
+    @pytest.mark.parametrize("bound, length", [
+        ("-7/2+10", 7),      # C truncates: -7/2 == -3 (floor gives -4)
+        ("-7%3+10", 9),      # the remainder takes the dividend's sign
+        ("7/-2+10", 7),
+        ("7%-3+10", 11),
+    ])
+    def test_array_bound_folds_with_c_division(self, bound, length):
+        assert parse(f"int a[{bound}];").decls[0].ty.length == length
+
+    @pytest.mark.parametrize("bound", ["4/0", "4%0"])
+    def test_array_bound_division_by_zero_rejected(self, bound):
+        with pytest.raises(ParseError, match="integer constant"):
+            parse(f"int a[{bound}];")
+
     def test_function_definition_params(self):
         fn = first_func("int add(int a, int b) { return a + b; }")
         assert [p.name for p in fn.params] == ["a", "b"]
@@ -327,6 +341,13 @@ class TestErrorsAndUnsupported:
         sw = fn.body.stmts[0]
         assert isinstance(sw, cast.Switch)
         assert [v for v, _ in sw.cases] == [1, 2, 3, None]
+
+    def test_case_label_folds_with_c_division(self):
+        fn = first_func(
+            "int f(int x) { switch (x) { case -7/2: return 1; "
+            "case -7%3: return 2; default: return 0; } }"
+        )
+        assert [v for v, _ in fn.body.stmts[0].cases] == [-3, -1, None]
 
     def test_switch_duplicate_case_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):

@@ -43,6 +43,14 @@ int make_muldiv(int a, int b) {
 }
 """
 
+SQUARE = """
+static int sq(int v) { return v * v; }
+int make_sq(int n) {
+    int vspec x = param(int, 0);
+    return (int)compile(`(sq(x) + $n), int);
+}
+"""
+
 
 def _proc(source=ADDER, **options):
     return TccCompiler().compile(source).start(**options)
@@ -110,6 +118,25 @@ class TestWarmStart:
             assert out.ok and out.value == 43
             assert out.path == "patched", \
                 "second engine cold-compiled a fleet-shared shape"
+
+    def test_template_with_a_callee_links_only_where_it_lies(self, tmp_path):
+        """A persisted body embeds its callee's resolved address: a
+        process whose static code puts the callee elsewhere must miss
+        and compile cold, never clone a call to the wrong place."""
+        root = str(tmp_path)
+        donor = _proc(SQUARE, codecache_dir=root)
+        donor.run("make_sq", 1)
+        donor.codecache.flush()
+        same = _proc(SQUARE, codecache_dir=root)
+        entry = same.run("make_sq", 4)
+        assert same._compile_path == "patched"
+        assert same.function(entry, "i", "i")(7) == 53
+        moved = _proc(SQUARE, codecache_dir=root, static_opt="gcc")
+        assert moved.machine.code.symbols["sq"] != \
+            same.machine.code.symbols["sq"]
+        entry = moved.run("make_sq", 5)
+        assert moved._compile_path == "cold"
+        assert moved.function(entry, "i", "i")(7) == 54
 
 
 class TestIntegrity:

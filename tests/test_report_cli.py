@@ -97,7 +97,6 @@ class TestEverySubcommand:
         ("hot", "Hottest execution units"),
         ("cache", "Code cache"),
         ("analysis", "Static analysis"),
-        ("slo", "Serving SLOs"),
     ])
     def test_subcommand_exits_zero_and_renders(self, capsys, name, marker):
         assert cli.main([name]) == 0
@@ -121,7 +120,8 @@ class TestEverySubcommand:
 
 
 class TestBadArguments:
-    @pytest.mark.parametrize("argv", [[], ["nonsense"], ["fig99"]])
+    @pytest.mark.parametrize("argv", [[], ["nonsense"], ["fig99"],
+                                      ["slo"]])
     def test_unknown_subcommand_prints_usage_and_fails(self, capsys, argv):
         assert cli.main(argv) == 1
         assert "python -m repro.report" in capsys.readouterr().out
@@ -129,19 +129,19 @@ class TestBadArguments:
     def test_registry_of_reports_matches_cli(self):
         assert set(cli.REPORTS) == {
             "table1", "fig4", "fig5", "fig6", "fig7", "blur", "usedops",
-            "trace", "hot", "cache", "analysis", "slo",
+            "trace", "hot", "cache", "analysis",
         }
 
-    def test_slo_runs_without_a_second_copy_of_the_module(self):
+    def test_module_runs_without_a_second_copy_of_itself(self):
         """``python -m repro.report`` must not find its own module
         already imported (runpy's RuntimeWarning, an error here)."""
         env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning",
-             "-m", "repro.report", "slo"],
+             "-m", "repro.report", "analysis"],
             capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert "Serving SLOs" in proc.stdout
+        assert "Static analysis" in proc.stdout
 
 
 class TestCacheReport:

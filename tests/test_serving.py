@@ -15,10 +15,11 @@ from repro import (
     report,
 )
 from repro.icode.backend import IcodeBackend
-from repro.errors import CodegenError, CycleBudgetExceeded
+from repro.errors import CodegenError, CycleBudgetExceeded, SegmentationFault
 from repro.obs.openmetrics import parse, render
 from repro.serving import ChaosPlan, LADDER, RetryPolicy
 from repro.serving.breaker import BreakerBoard, CircuitBreaker
+from repro.serving.engine import Session
 from repro.serving.envelope import DeadlineClock
 from repro.telemetry.metrics import REGISTRY
 
@@ -121,6 +122,89 @@ class TestEngineSessions:
         assert eng.stats()["sessions_open"] == 0
 
 
+class TestOneRequestPath:
+    """Runs and calls are both served by ``Session.request``: counted,
+    scored by the SLO engine and kept by the flight recorder."""
+
+    NOOP = ADDER + "int noop(int n) { return n; }\n"
+
+    #: A flight-recorder row: what ``Session._observe`` builds, plus the
+    #: recorder's ``index``.
+    ROW_KEYS = {
+        "index", "session", "builder", "correlation_id", "ok", "error",
+        "tier", "path", "retries", "cycles", "deadline", "deadline_slack",
+        "rungs", "exec_engine", "chaos", "breaker_opens", "wall_us", "spans",
+    }
+
+    def test_calls_are_counted_scored_and_recorded(self):
+        report.reset()
+        eng = Engine(ADDER, chaos=None)
+        with eng.session() as s:
+            entry = s.run("make_adder", 10)
+            assert s.call(entry, (5,)) == 15
+            with pytest.raises(DeadlineExceeded):
+                s.call(entry, (5,), deadline=1)
+        stats = report.serving_stats()
+        assert (stats["requests"], stats["completed"], stats["failed"],
+                stats["deadline_misses"]) == (3, 2, 1, 1)
+        assert eng.slo.status().observed == 3
+        rows = eng.recorder.records()
+        assert [r["correlation_id"] for r in rows] == [
+            "session-1#1", "session-1#2", "session-1#3"]
+        assert [r["path"] for r in rows] == ["cold", None, None]
+        assert [r["builder"] for r in rows] == ["make_adder", None, None]
+        assert rows[2]["error"] == "DeadlineExceeded"
+        assert all(set(row) == self.ROW_KEYS
+                   for row in eng.dump_blackbox()["records"])
+        # a call compiles nothing: only availability objectives score it
+        totals = {st.objective.name: st.total
+                  for st in eng.slo.status().statuses}
+        assert totals["availability"] == 3
+        assert totals["cold-latency"] == 1
+
+    def test_call_is_served_by_request(self, monkeypatch):
+        served = []
+        original = Session.request
+
+        def spy(self, builder, *args, **kwargs):
+            served.append((builder, kwargs.get("entry")))
+            return original(self, builder, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "request", spy)
+        with Engine(ADDER, chaos=None).session() as s:
+            entry = s.run("make_adder", 1)
+            assert s.call(entry, (2,)) == 3
+        assert served == [("make_adder", None), (None, entry)]
+
+    def test_a_call_takes_a_chaos_slot(self):
+        plan = ChaosPlan(at={2: "deadline"})
+        with Engine(ADDER, chaos=None).session(chaos=plan) as s:
+            entry = s.run("make_adder", 1)
+            with pytest.raises(DeadlineExceeded):
+                s.call(entry, (2,))
+            assert s.call(entry, (2,)) == 3
+
+    def test_request_that_compiles_nothing_has_no_path(self):
+        eng = Engine(self.NOOP, chaos=None)
+        with eng.session() as s:
+            assert s.request("make_adder", (1,)).path == "cold"
+            out = s.request("noop", (3,))
+            assert out.ok and out.value == 3
+            assert out.path is None
+        assert eng.recorder.records()[-1]["path"] is None
+        totals = {st.objective.name: st.total
+                  for st in eng.slo.status().statuses}
+        assert (totals["cold-latency"], totals["availability"]) == (1, 2)
+
+    @pytest.mark.parametrize("entry", [10**6, None])
+    def test_bad_entry_raises_the_machine_fault(self, entry):
+        report.reset()
+        with Engine(ADDER, chaos=None).session() as s:
+            with pytest.raises(SegmentationFault):
+                s.call(entry)
+        assert report.serving_stats()["failed"] == 1
+
+
 class TestDeadlines:
     def test_deadline_exceeded_is_captured(self):
         with Engine(ADDER, chaos=None).session(deadline=1) as s:
@@ -211,6 +295,15 @@ class TestDegradationLadder:
             assert out.ok and out.value == 15
             assert out.tier == "vcode" and out.path == "degrade"
             assert _degraded("vcode") == before + 1
+
+    def test_bundle_counts_degradation_per_tier(self, monkeypatch):
+        self._icode_broken(monkeypatch)
+        eng = Engine(ADDER, chaos=None)
+        with eng.session() as s:
+            assert s.request("make_adder", (10,), call_args=(5,)).ok
+        serving = eng.dump_blackbox()["serving"]
+        assert serving == eng.stats()["serving"]
+        assert serving["degraded_by_tier"]["vcode"] >= 1
 
     def test_degraded_requests_are_scored_by_the_slo(self, monkeypatch):
         # Every rung below 0 serves on path "degrade"; the default
@@ -322,7 +415,8 @@ class TestTelemetryRollup:
         scrape = parse(render())
         assert REGISTRY.counter("serving.requests").value == 2
         assert eng.stats()["serving"]["requests"] == 2
-        assert eng.dump_blackbox()["serving"]["serving.requests"] == 2
+        assert eng.dump_blackbox()["serving"]["requests"] == 2
+        assert eng.dump_blackbox()["serving"] == eng.stats()["serving"]
         assert scrape["serving_requests"]["samples"][0].value == 2
         s.close()
         assert REGISTRY.counter("serving.requests").value == 2

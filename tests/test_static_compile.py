@@ -26,6 +26,24 @@ class TestArithmetic:
         src = "int f(int a, int b) { return a / b + a % b; }"
         assert run(src, "f", -7, 2, opt=opt) == -3 + -1
 
+    def test_constant_expressions_fold_as_c_divides(self, opt):
+        # Array bounds and case labels fold at parse time; they must
+        # agree with the same expressions evaluated at run time.
+        src = """
+        int a[-7/2+10];
+        int b[-7%3+10];
+        int f(int x) {
+            switch (x) { case -7/2: return 1; default: return 0; }
+        }
+        int g(int x) { return x / 2 + 10; }
+        int h(int x) { return x % 3 + 10; }
+        int sizes(void) { return sizeof(a) / 4 * 100 + sizeof(b) / 4; }
+        """
+        proc = compile_c(src, static_opt=opt)
+        fn = proc.static_function
+        assert fn("sizes")() == fn("g")(-7) * 100 + fn("h")(-7) == 709
+        assert (fn("f")(-3), fn("f")(-4)) == (1, 0)
+
     def test_unsigned_arithmetic(self, opt):
         src = "unsigned f(unsigned a) { return a / 2u; }"
         assert run(src, "f", -2, opt=opt) == 0x7FFFFFFF
