@@ -1,13 +1,13 @@
 """Host-time benchmark: telemetry overhead across the paper apps.
 
 Runs the full pipeline (static compile, process start, specialization,
-one dynamic call) for every Figure-4 benchmark under ``telemetry="off"``
-and ``telemetry="on"`` and records per-app host seconds for both modes
-plus the relative overhead.  Also exports one full blur trace
+one dynamic call) for every Figure-4 benchmark untraced
+(``activate(None)``) and traced (``activate(Tracer())``) and records
+per-app host seconds for both modes plus the relative overhead.  Also exports one full blur trace
 (``TRACE_blur.json``, Chrome trace-event JSON) so CI archives a
 Perfetto-loadable artifact.
 
-Acceptance: telemetry-on costs <= 5% extra host wall time summed over
+Acceptance: tracing costs <= 5% extra host wall time summed over
 the suite (interleaved best-of-5), produces identical results and
 identical modeled cycles, and the blur trace validates (spans nest, one
 compile span tiled exactly by its phase children).  Results go to
@@ -25,19 +25,20 @@ from repro import report
 from repro.apps import ALL_APPS, FIGURE4_APPS
 from repro.core.driver import TccCompiler
 from repro.telemetry import export
+from repro.telemetry.trace import Tracer, activate
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_telemetry.json"
 TRACE_PATH = Path(__file__).parent.parent / "TRACE_blur.json"
 
 _RESULTS: dict = {"apps": {}}
 
-#: Wall-time overhead budget for telemetry="on", summed over all apps.
+#: Wall-time overhead budget for the traced mode, summed over all apps.
 MAX_OVERHEAD = 0.05
 
 
 def _run_app(app, mode: str):
-    """Full pipeline under one telemetry mode; returns (seconds, result,
-    modeled codegen cycles).
+    """Full pipeline untraced (``"off"``) or under a fresh tracer
+    (``"on"``); returns (seconds, result, modeled codegen cycles).
 
     GC is disabled inside the timed region (as pytest-benchmark does): a
     collection triggered mid-run would bill one mode for garbage the
@@ -46,12 +47,14 @@ def _run_app(app, mode: str):
     gc.disable()
     try:
         t0 = time.perf_counter()
-        prog = TccCompiler().compile(app.source, filename=f"<{app.name}>")
-        proc = prog.start(backend="icode", codecache=False, telemetry=mode)
-        ctx = app.setup(proc)
-        entry = proc.run(app.builder, *app.builder_args(ctx))
-        fn = proc.function(entry, app.dyn_signature, app.dyn_returns)
-        result = app.dyn_call(fn, ctx)
+        with activate(Tracer() if mode == "on" else None):
+            prog = TccCompiler().compile(app.source,
+                                         filename=f"<{app.name}>")
+            proc = prog.start(backend="icode", codecache=False)
+            ctx = app.setup(proc)
+            entry = proc.run(app.builder, *app.builder_args(ctx))
+            fn = proc.function(entry, app.dyn_signature, app.dyn_returns)
+            result = app.dyn_call(fn, ctx)
         cycles = proc.cost.lifetime.total_cycles()
         return time.perf_counter() - t0, result, cycles
     finally:
@@ -104,14 +107,13 @@ def test_export_blur_trace_artifact():
     the span tree the same way tests/test_telemetry.py does."""
     report.reset()
     app = ALL_APPS["blur"]
-    prog = TccCompiler(telemetry="on").compile(app.source,
-                                               filename="<blur>")
-    proc = prog.start(backend="icode", codecache=False)
-    ctx = app.setup(proc)
-    entry = proc.run(app.builder, *app.builder_args(ctx))
-    fn = proc.function(entry, app.dyn_signature, app.dyn_returns)
-    app.dyn_call(fn, ctx)
-    tracer = proc.tracer
+    with activate(Tracer()) as tracer:
+        prog = TccCompiler().compile(app.source, filename="<blur>")
+        proc = prog.start(backend="icode", codecache=False)
+        ctx = app.setup(proc)
+        entry = proc.run(app.builder, *app.builder_args(ctx))
+        fn = proc.function(entry, app.dyn_signature, app.dyn_returns)
+        app.dyn_call(fn, ctx)
 
     by_sid = {s.sid: s for s in tracer.spans}
     for span in tracer.spans:
@@ -142,7 +144,8 @@ def test_write_bench_json():
     payload["description"] = (
         "Telemetry benchmark: host seconds for the full pipeline (static "
         "compile, start, specialization, one dynamic call) per Figure-4 "
-        "app under telemetry=off vs telemetry=on (interleaved best-of-5), "
+        "app untraced vs under an activated tracer (interleaved "
+        "best-of-5), "
         "plus one exported Chrome/Perfetto blur trace.  Acceptance: "
         f"<= {MAX_OVERHEAD:.0%} total wall-time overhead, identical "
         "results and modeled cycles."

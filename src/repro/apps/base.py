@@ -76,7 +76,6 @@ class MeasureResult:
         self.static_result = None
         self.expected = None
         self.correct = False
-        self.tracer = None             # set when measured with telemetry on
         self.hot_profile = None        # hot_units() rows under tiered engine
 
     @property

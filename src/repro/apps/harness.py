@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.apps.base import App, MeasureResult
 from repro.core.driver import TccCompiler
-from repro.telemetry.trace import Tracer
+from repro.telemetry.trace import Tracer, activate
 
 _PROGRAM_CACHE: dict = {}
 
@@ -31,7 +31,7 @@ def _program(app: App):
 
 def measure(app: App, backend: str = "icode", regalloc: str = "linear",
             static_opt: str = "lcc", engine: str = "block",
-            telemetry: str = "off", **extra_options) -> MeasureResult:
+            **extra_options) -> MeasureResult:
     """Measure one app under one configuration; see module docstring.
 
     ``engine`` selects the target-machine execution engine ("tiered",
@@ -43,10 +43,9 @@ def measure(app: App, backend: str = "icode", regalloc: str = "linear",
     side's hot-unit profile is captured in ``MeasureResult.hot_profile``
     (empty unless the trace tier profiled the run).
 
-    ``telemetry`` ("off"/"on"/"sample:N", default off) attaches a span
-    tracer to the *dynamic* side only; the resulting
-    ``MeasureResult.tracer`` can be handed to :mod:`repro.telemetry.export`.
-    Modeled-cycle results are telemetry-independent.
+    Under an active tracer (:func:`repro.telemetry.trace.activate`) both
+    sides land on its timeline; modeled-cycle results are
+    tracing-independent.
     """
     result = MeasureResult(app.name, backend, regalloc, static_opt)
     prog = _program(app)
@@ -57,7 +56,7 @@ def measure(app: App, backend: str = "icode", regalloc: str = "linear",
     # warm/patched paths).
     extra_options.setdefault("codecache", False)
     proc = prog.start(backend=backend, regalloc=regalloc, engine=engine,
-                      telemetry=telemetry, **extra_options)
+                      **extra_options)
     ctx = app.setup(proc)
     entry = proc.run(app.builder, *app.builder_args(ctx))
     fn = proc.function(entry, app.dyn_signature, app.dyn_returns,
@@ -71,7 +70,6 @@ def measure(app: App, backend: str = "icode", regalloc: str = "linear",
     before = proc.machine.cpu.cycles
     result.dynamic_result = app.dyn_call(fn, ctx)
     result.dynamic_cycles = proc.machine.cpu.cycles - before
-    result.tracer = proc.tracer
     if proc.machine._engine is not None:
         result.hot_profile = proc.machine._engine.hot_units()
 
@@ -96,20 +94,18 @@ def _matches(value, expected) -> bool:
 
 
 def run_traced(app: App, backend: str = "icode", regalloc: str = "linear",
-               telemetry: str = "on", codecache: bool = False):
+               codecache: bool = False):
     """Compile and run ``app`` once under one tracer that covers its
     whole lifecycle: static compile, specification, instantiation and
-    execution.  Returns the tracer.  Unlike ``measure(telemetry=...)``,
-    which traces only the dynamic side, this is the trace behind
+    execution.  Returns the tracer; this is the trace behind
     ``python -m repro.report trace``."""
-    tracer = Tracer(telemetry)
-    prog = TccCompiler(tracer=tracer).compile(app.source,
-                                              filename=f"<{app.name}>")
-    proc = prog.start(backend=backend, regalloc=regalloc, tracer=tracer,
-                      codecache=codecache)
-    ctx = app.setup(proc)
-    entry = proc.run(app.builder, *app.builder_args(ctx))
-    fn = proc.function(entry, app.dyn_signature, app.dyn_returns,
-                       name=app.name)
-    app.dyn_call(fn, ctx)
+    with activate(Tracer()) as tracer:
+        prog = TccCompiler().compile(app.source, filename=f"<{app.name}>")
+        proc = prog.start(backend=backend, regalloc=regalloc,
+                          codecache=codecache)
+        ctx = app.setup(proc)
+        entry = proc.run(app.builder, *app.builder_args(ctx))
+        fn = proc.function(entry, app.dyn_signature, app.dyn_returns,
+                           name=app.name)
+        app.dyn_call(fn, ctx)
     return tracer

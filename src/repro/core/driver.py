@@ -90,47 +90,33 @@ class TccCompiler:
     (:mod:`repro.verify.ticklint`) after semantic analysis, so dynamic-code
     bugs like use-before-specialization surface at *static* compile time.
 
-    ``telemetry`` (``"off"``/``"on"``/``"sample:N"``, default off) creates
-    a :class:`~repro.telemetry.trace.Tracer` covering static compilation;
-    the resulting :class:`CompiledProgram` carries it so ``start()``
-    continues the same timeline.  Pass ``tracer`` to share an existing one
-    instead.
+    Under an active tracer (:func:`repro.telemetry.trace.activate`) the
+    stages appear as ``static`` spans on its timeline.
     """
 
-    def __init__(self, include_prelude: bool = True, verify: str = None,
-                 telemetry: str = None, tracer=None):
+    def __init__(self, include_prelude: bool = True, verify: str = None):
         self.include_prelude = include_prelude
         self.verify = verify
-        self.tracer = tracer
-        if tracer is None and _trace.resolve_mode(telemetry) != "off":
-            self.tracer = _trace.Tracer(telemetry)
 
     def compile(self, source: str, filename: str = "<source>") -> "CompiledProgram":
         """Parse, type-check, lint, and statically lower ``source``."""
         if self.include_prelude:
             source = self._merge_prelude(source)
-        tracer = self.tracer
-        if tracer is None or not tracer.enabled:
-            tu = analyze(parse(source, filename))
-            if resolve_mode(self.verify) != "off":
-                ticklint.run(tu)
-            self._build_cgfs(tu)
-            return CompiledProgram(tu, source, tracer=tracer)
         # Static compilation has no modeled cost, so its stages appear as
         # zero-cycle spans carrying host wall time; the lint emits its own
-        # verify:ticklint instant through the ambient tracer.
-        with _trace.activate(tracer):
-            span = tracer.begin(f"static_compile:{filename}", cat="static")
-            with tracer.span("parse", cat="static"):
-                tu = parse(source, filename)
-            with tracer.span("sema", cat="static"):
-                tu = analyze(tu)
-            if resolve_mode(self.verify) != "off":
-                ticklint.run(tu)
-            with tracer.span("cgf", cat="static"):
-                self._build_cgfs(tu)
-            tracer.end(span, functions=len(tu.functions))
-        return CompiledProgram(tu, source, tracer=tracer)
+        # verify:ticklint instant.
+        tracer = _trace.active()
+        span = tracer.begin(f"static_compile:{filename}", cat="static")
+        with tracer.span("parse", cat="static"):
+            tu = parse(source, filename)
+        with tracer.span("sema", cat="static"):
+            tu = analyze(tu)
+        if resolve_mode(self.verify) != "off":
+            ticklint.run(tu)
+        with tracer.span("cgf", cat="static"):
+            self._build_cgfs(tu)
+        tracer.end(span, functions=len(tu.functions))
+        return CompiledProgram(tu, source)
 
     @staticmethod
     def _build_cgfs(tu) -> None:
@@ -155,14 +141,42 @@ def _split_prelude():
             ("memset", "void memset" + PRELUDE_SOURCE.split("void memset")[1])]
 
 
+#: The options :meth:`CompiledProgram.start` hands to a fresh
+#: :class:`~repro.target.cpu.Machine`.
+MACHINE_OPTIONS = ("fuel", "icache", "code_capacity", "engine", "tiering",
+                   "tiering_shared")
+
+#: Every option name :meth:`CompiledProgram.start` reads (documented in
+#: its docstring); :func:`check_start_options` rejects any other.
+START_OPTIONS = frozenset((
+    "backend", "regalloc", "static_opt", "allow_spills",
+    "reorder_cspec_operands", "strength_reduction", "dynamic_unrolling",
+    "compile_static", "fallback", "codecache", "code_templates",
+    "codecache_dir", "template_store", "retier", "retier_cost_ratio",
+    "spec_fuel", "verify", "analysis",
+) + MACHINE_OPTIONS)
+
+
+def check_start_options(options, machine=None) -> None:
+    """Raise TypeError for an option name :meth:`CompiledProgram.start`
+    does not read, or for a machine option given with an explicit
+    ``machine`` (which would drop it): a misspelt knob must not silently
+    fall back to its default."""
+    unknown = sorted(set(options) - START_OPTIONS)
+    if machine is not None:
+        unknown += [f"{key} (with an explicit machine)"
+                    for key in MACHINE_OPTIONS if key in options]
+    if unknown:
+        raise TypeError(f"start() cannot use option(s): {', '.join(unknown)}")
+
+
 class CompiledProgram:
     """The output of static compilation: an analyzed translation unit with
     code-generating functions attached to every tick expression."""
 
-    def __init__(self, tu: cast.TranslationUnit, source: str, tracer=None):
+    def __init__(self, tu: cast.TranslationUnit, source: str):
         self.tu = tu
         self.source = source
-        self.tracer = tracer
 
     def start(self, machine: Machine | None = None, **options) -> "Process":
         """Instantiate the program on a machine.  Options:
@@ -172,6 +186,11 @@ class CompiledProgram:
         ``static_opt``    "lcc" or "gcc" (default "lcc")
         ``allow_spills``  VCODE getreg spilling (default True)
         ``reorder_cspec_operands``  tcc's 5.1 heuristic (default True)
+        ``strength_reduction``  rewrite multiply/divide/modulo by a
+                          run-time constant into shifts and adds
+                          (default True)
+        ``dynamic_unrolling``  unroll a tick's loops whose bounds are
+                          run-time constants (default True)
         ``compile_static``  compile pure-C functions at start (default True)
         ``fallback``      retry failed ICODE installs on VCODE (default True)
         ``codecache``     reuse dynamic code across compile() calls
@@ -185,6 +204,9 @@ class CompiledProgram:
                           earlier process compiled (see repro.persist).
                           Ignored when ``template_store`` is supplied —
                           the shared store owns persistence then.
+        ``template_store``  a shared :class:`repro.serving.TemplateStore`
+                          to use as the cache's Tier 2 instead of a
+                          private one (serving.Engine passes its own)
         ``retier``        adaptive VCODE->ICODE re-instantiation when a
                           closure's cumulative exec cycles cross the
                           Fig. 5 recompile crossover (default True; needs
@@ -198,15 +220,13 @@ class CompiledProgram:
                           check + install audit), or "paranoid" (adds the
                           inter-pass IR verifier).  Defaults to
                           ``$REPRO_VERIFY``, else "dev".
-        ``telemetry``     lifecycle tracing: "off" (default), "on", or
-                          "sample:N" (see repro.telemetry).  Metrics are
-                          always recorded; the knob only controls spans.
-        ``tracer``        share an existing Tracer instead (wins over
-                          ``telemetry``; defaults to the one the compiler
-                          used for static compilation, if any).
+        ``analysis``      abstract-interpretation guard elision in the
+                          ICODE and static back ends: proven-safe memory
+                          ops skip their bounds check (default
+                          ``$REPRO_ANALYSIS``, else off)
 
         When no ``machine`` is supplied, these options configure the fresh
-        one:
+        one (passing them with a ``machine`` raises TypeError):
 
         ``fuel``          watchdog cycle budget per call (None = unlimited)
         ``icache``        an :class:`~repro.target.cpu.ICache` model
@@ -220,15 +240,15 @@ class CompiledProgram:
                           unless ``engine`` is "tiered"
         ``tiering_shared``  a :class:`repro.tiering.SharedHotness` to
                           seed/publish the cross-session dispatch profile
+
+        Any other option name raises TypeError (:data:`START_OPTIONS`).
+        To trace the process, run it under
+        :func:`repro.telemetry.trace.activate`.
         """
+        check_start_options(options, machine)
         if machine is None:
-            machine_options = {
-                key: options[key]
-                for key in ("fuel", "icache", "code_capacity", "engine",
-                            "tiering", "tiering_shared")
-                if key in options
-            }
-            machine = Machine(**machine_options)
+            machine = Machine(**{key: options[key] for key in MACHINE_OPTIONS
+                                 if key in options})
         return Process(self, machine, options)
 
     @property
@@ -258,20 +278,6 @@ class Process:
         self.static_opt = options.get("static_opt", "lcc")
         self.verify = resolve_mode(options.get("verify"))
         self.analysis = resolve_analysis(options.get("analysis"))
-        # Tracer resolution: explicit option > the static compiler's >
-        # the machine's > a fresh one when the telemetry knob asks for it.
-        tracer = options.get("tracer")
-        if tracer is None:
-            tracer = program.tracer
-        if tracer is None:
-            tracer = machine.tracer
-        if tracer is None:
-            mode = _trace.resolve_mode(options.get("telemetry"))
-            if mode != "off":
-                tracer = _trace.Tracer(mode)
-        self.tracer = tracer if tracer is not None and tracer.enabled else None
-        if self.tracer is not None:
-            machine.tracer = self.tracer
         self.cost = CostModel()          # dynamic-compilation accounting
         self.static_cost = CostModel()   # static compilation (not reported)
         self.closure_arena = Arena(name="closures")
@@ -321,11 +327,7 @@ class Process:
         self._place_globals()
         self.interp = Interp(self)
         if options.get("compile_static", True):
-            if self.tracer is not None:
-                with _trace.activate(self.tracer):
-                    self._compile_static_functions()
-            else:
-                self._compile_static_functions()
+            self._compile_static_functions()
 
     # -- setup -----------------------------------------------------------------
 
@@ -391,7 +393,7 @@ class Process:
         compilable = self.compilable_functions()
         global_env = static_backend.build_global_env(self.global_cells)
         static_start = self.machine.code.here
-        tracer = self.tracer
+        tracer = _trace.active()
         for name in compilable:
             fn = self.program.tu.functions[name]
             before = self.static_cost.current.total_cycles()
@@ -402,7 +404,7 @@ class Process:
                 analysis=self.analysis,
             )
             self._static_entries[name] = entry
-            if tracer is not None:
+            if tracer.enabled:
                 spent = self.static_cost.current.total_cycles() - before
                 tracer.advance(spent)
                 tracer.add_complete(f"static:{name}", cat="static",
@@ -518,25 +520,20 @@ class Process:
         signature describes the primary back end's configuration).
 
         Telemetry: every compile() records its path/cycles/instructions in
-        the metrics registry; when a tracer is attached (and this
-        lifecycle is sampled) the finished instantiation is laid onto the
-        cycle timeline as a ``compile#N`` span whose phase children tile
-        it exactly (see :meth:`_trace_compile`).
+        the metrics registry; under an active tracer the finished
+        instantiation is laid onto the cycle timeline as a ``compile#N``
+        span whose phase children tile it exactly (see
+        :meth:`_trace_compile`).
         """
-        tracer = self.tracer
-        traced = tracer is not None and tracer.sample("compile")
         self._compile_path = None
         self._compile_signature = None
-        if traced:
-            with _trace.activate(tracer):
-                entry = self._compile_dispatch(closure, ret_type)
-        else:
-            entry = self._compile_dispatch(closure, ret_type)
+        entry = self._compile_dispatch(closure, ret_type)
         stats = self.last_codegen_stats
         path = self._compile_path = self._compile_path or "cold"
         _metrics.record_compile(path, stats.total_cycles(),
                                 stats.generated_instructions)
-        if traced:
+        tracer = _trace.active()
+        if tracer.enabled:
             self._trace_compile(tracer, closure, entry, stats, path)
         return entry
 
@@ -611,11 +608,9 @@ class Process:
                                           params, None)
                 report.record_fallback("icode", "vcode", str(primary))
                 self._compile_path = "fallback"
-                amb = _trace.active()
-                if amb.enabled:
-                    amb.instant("fallback", cat="event", from_backend="icode",
-                                to_backend="vcode",
-                                reason=str(primary)[:120])
+                _trace.active().instant(
+                    "fallback", cat="event", from_backend="icode",
+                    to_backend="vcode", reason=str(primary)[:120])
             self.last_codegen_stats = self.cost.end_instantiation()
             if signature is not None and recorder is not None:
                 self.codecache.store(
@@ -855,12 +850,13 @@ class Process:
         if fn is None:
             raise TccError(f"no function named {fn_name!r}")
         self.interp.reset_budget()
-        tracer = self.tracer
-        if tracer is None:
+        tracer = _trace.active()
+        span = tracer.begin(f"run:{fn_name}", cat="spec") \
+            if tracer.enabled else None
+        try:
             return self.interp.call_function(fn, list(args))
-        with _trace.activate(tracer):
-            with tracer.span(f"run:{fn_name}", cat="spec"):
-                return self.interp.call_function(fn, list(args))
+        finally:
+            tracer.end(span)
 
     def function(self, entry: int, signature: str = "",
                  returns: str = "i", name: str = "<dynamic>") -> Function:

@@ -26,7 +26,7 @@ from repro.frontend import typesys as T
 from repro.frontend.sema import Builtin
 from repro.runtime.closures import CaptureKind, Closure, Vspec
 from repro.runtime.costmodel import CLOSURE_ALLOC, CLOSURE_CAPTURE
-from repro.target.isa import wrap32
+from repro.target.isa import cvtfi, wrap32
 
 
 class InterpFunc:
@@ -241,6 +241,8 @@ class Interp:
         if ty.is_float():
             return float(value)
         if ty.is_integer():
+            if isinstance(value, float):
+                value = cvtfi(value, RuntimeTccError)
             if isinstance(ty, T.IntType) and ty.kind == "char":
                 v = int(value) & 0xFF
                 return v - 256 if (ty.signed and v >= 128) else v
@@ -526,7 +528,8 @@ class Interp:
         if ty.is_void():
             return None
         return self._convert(
-            int(val) if (ty.is_integer() or ty.is_pointer()) and
+            cvtfi(val, RuntimeTccError)
+            if (ty.is_integer() or ty.is_pointer()) and
             isinstance(val, float) else val,
             ty,
         ) if not isinstance(val, (Closure, Vspec, InterpFunc)) else val
@@ -674,7 +677,7 @@ class Interp:
                     raise RuntimeTccError(
                         "specification values cannot be passed to target code"
                     )
-                int_args.append(wrap32(int(value)))
+                int_args.append(wrap32(cvtfi(value, RuntimeTccError)))
         returns = "f" if fty.ret.is_float() else (
             "v" if fty.ret.is_void() else "i"
         )
@@ -688,7 +691,8 @@ class Interp:
             self.machine.output.append(self._format(fmt, args[1:], e.args[1:]))
             return None
         if name == "print_int":
-            self.machine.output.append(str(wrap32(int(args[0]))))
+            self.machine.output.append(
+                str(wrap32(cvtfi(args[0], RuntimeTccError))))
             return None
         if name == "print_str":
             self.machine.output.append(self.memory.read_cstring(int(args[0])))
@@ -697,10 +701,12 @@ class Interp:
             self.machine.output.append(repr(float(args[0])))
             return None
         if name == "putchar":
-            self.machine.output.append(chr(int(args[0]) & 0xFF))
+            self.machine.output.append(
+                chr(cvtfi(args[0], RuntimeTccError) & 0xFF))
             return None
         if name == "malloc":
-            return self.memory.alloc(max(int(args[0]), 1), 8)
+            return self.memory.alloc(
+                max(cvtfi(args[0], RuntimeTccError), 1), 8)
         raise RuntimeTccError(f"unknown builtin {name!r}")
 
     def _format(self, fmt: str, args, arg_exprs) -> str:
@@ -725,14 +731,16 @@ class Interp:
                 raise RuntimeTccError("printf: not enough arguments")
             value = args[ai]
             ai += 1
+            if spec in "diuxc":
+                value = cvtfi(value, RuntimeTccError)
             if spec == "d" or spec == "i":
-                out.append(str(wrap32(int(value))))
+                out.append(str(wrap32(value)))
             elif spec == "u":
-                out.append(str(int(value) & 0xFFFFFFFF))
+                out.append(str(value & 0xFFFFFFFF))
             elif spec == "x":
-                out.append(format(int(value) & 0xFFFFFFFF, "x"))
+                out.append(format(value & 0xFFFFFFFF, "x"))
             elif spec == "c":
-                out.append(chr(int(value) & 0xFF))
+                out.append(chr(value & 0xFF))
             elif spec == "s":
                 out.append(self.memory.read_cstring(int(value)))
             elif spec in ("f", "g", "e"):

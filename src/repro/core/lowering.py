@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro.core import partial_eval
 from repro.core.codecache import PatchImm, imm_int
 from repro.core.operands import FuncRef
-from repro.errors import CodegenError
+from repro.errors import CodegenError, RuntimeTccError
 from repro.frontend import cast
 from repro.frontend import typesys as T
 from repro.frontend.sema import Builtin
@@ -36,7 +36,7 @@ from repro.runtime.costmodel import (
     EMIT_RTCONST_FOLD,
     IR_RTCONST_FOLD,
 )
-from repro.target.isa import wrap32
+from repro.target.isa import cvtfi, wrap32
 
 _MAX_UNROLL = 1 << 20
 
@@ -259,7 +259,7 @@ class CodeGen:
             self._pin(val.value)
             if to_cls == "f":
                 return Imm(float(val.value), "f")
-            return Imm(wrap32(int(val.value)), "i")
+            return Imm(wrap32(cvtfi(val.value, RuntimeTccError)), "i")
         src = val
         dst = RegVal(self.backend.alloc_reg(to_cls), to_cls, True)
         if to_cls == "f":
@@ -403,7 +403,7 @@ class CodeGen:
                 self._pin(v)
                 return float(v)
             if expr.target_type.is_integer() or expr.target_type.is_pointer():
-                w = wrap32(int(v))
+                w = wrap32(cvtfi(v, RuntimeTccError))
                 if isinstance(v, PatchImm):
                     # patch-time recompute applies wrap32 anyway: identity
                     return PatchImm(w, v.origin, v.scale, v.addend)

@@ -36,15 +36,9 @@ from repro.runtime.costmodel import (
     TRANSLATE_SPILL_CODE,
 )
 from repro.target.isa import (
-    ALLOCATABLE_FREGS,
-    ALLOCATABLE_REGS,
-    ARG_REGS,
-    CHECKED_TO_SAFE,
-    FARG_REGS,
-    FReg,
-    Instruction,
-    Op,
-    Reg,
+    ALLOCATABLE_FREGS, ALLOCATABLE_REGS, ARG_REGS, BINOPS, CHECKED_TO_SAFE,
+    FARG_REGS, FBINOPS, FCMPS, FReg, FUNOPS, Instruction, LOADS, Op, Reg,
+    SCRATCH_F, SCRATCH_I, STORES, UNOPS,
 )
 from repro.target.program import Label
 from repro.telemetry.metrics import REGISTRY
@@ -55,45 +49,6 @@ from repro.verify import ircheck, regcheck
 #: pays two integer adds).
 _INSTALLS = REGISTRY.counter("backend.icode.installs")
 _IR_INSTRS = REGISTRY.counter("backend.icode.ir_instructions")
-
-_BINOPS = {
-    "add": (Op.ADD, Op.ADDI),
-    "sub": (Op.SUB, Op.SUBI),
-    "mul": (Op.MUL, Op.MULI),
-    "div": (Op.DIV, Op.DIVI),
-    "mod": (Op.MOD, Op.MODI),
-    "divu": (Op.DIVU, Op.DIVUI),
-    "modu": (Op.MODU, Op.MODUI),
-    "and": (Op.AND, Op.ANDI),
-    "or": (Op.OR, Op.ORI),
-    "xor": (Op.XOR, Op.XORI),
-    "sll": (Op.SLL, Op.SLLI),
-    "srl": (Op.SRL, Op.SRLI),
-    "sra": (Op.SRA, Op.SRAI),
-    "seq": (Op.SEQ, Op.SEQI),
-    "sne": (Op.SNE, Op.SNEI),
-    "slt": (Op.SLT, Op.SLTI),
-    "sle": (Op.SLE, Op.SLEI),
-    "sgt": (Op.SGT, Op.SGTI),
-    "sge": (Op.SGE, Op.SGEI),
-    "sltu": (Op.SLTU, None),
-}
-_UNOPS = {"neg": Op.NEG, "not": Op.NOT, "mov": Op.MOV}
-_FBINOPS = {"fadd": Op.FADD, "fsub": Op.FSUB, "fmul": Op.FMUL, "fdiv": Op.FDIV}
-_FCMPS = {
-    "fseq": Op.FSEQ,
-    "fsne": Op.FSNE,
-    "fslt": Op.FSLT,
-    "fsle": Op.FSLE,
-    "fsgt": Op.FSGT,
-    "fsge": Op.FSGE,
-}
-_FUNOPS = {"fneg": Op.FNEG, "fmov": Op.FMOV}
-_LOADS = {"w": Op.LW, "b": Op.LB, "bu": Op.LBU, "d": Op.FLW}
-_STORES = {"w": Op.SW, "b": Op.SB, "bu": Op.SB, "d": Op.FSW}
-
-_SCRATCH_I = (Reg.X0, Reg.X1)
-_SCRATCH_F = (FReg.F4, FReg.F5)
 
 #: Weight multiplier per loop nesting level for usage-frequency hints.
 _LOOP_WEIGHT = 8.0
@@ -185,10 +140,10 @@ class IcodeBackend:
         self._record(IRInstr(Op.FLI, dst, imm_float(imm)))
 
     def binop(self, opname: str, dst, a, b) -> None:
-        self._record(IRInstr(_BINOPS[opname][0], dst, a, b))
+        self._record(IRInstr(BINOPS[opname][0], dst, a, b))
 
     def binop_imm(self, opname: str, dst, a, imm: int) -> None:
-        op = _BINOPS[opname][1]
+        op = BINOPS[opname][1]
         if op is None:
             tmp = self.alloc_reg("i")
             self.li(tmp, imm)
@@ -197,16 +152,16 @@ class IcodeBackend:
         self._record(IRInstr(op, dst, a, imm_int(imm)))
 
     def unop(self, opname: str, dst, a) -> None:
-        self._record(IRInstr(_UNOPS[opname], dst, a))
+        self._record(IRInstr(UNOPS[opname], dst, a))
 
     def fbinop(self, opname: str, dst, a, b) -> None:
-        self._record(IRInstr(_FBINOPS[opname], dst, a, b))
+        self._record(IRInstr(FBINOPS[opname], dst, a, b))
 
     def fcmp(self, opname: str, dst, a, b) -> None:
-        self._record(IRInstr(_FCMPS[opname], dst, a, b))
+        self._record(IRInstr(FCMPS[opname], dst, a, b))
 
     def funop(self, opname: str, dst, a) -> None:
-        self._record(IRInstr(_FUNOPS[opname], dst, a))
+        self._record(IRInstr(FUNOPS[opname], dst, a))
 
     def cvtif(self, fdst, isrc) -> None:
         self._record(IRInstr(Op.CVTIF, fdst, isrc))
@@ -215,10 +170,10 @@ class IcodeBackend:
         self._record(IRInstr(Op.CVTFI, idst, fsrc))
 
     def load(self, dst, base, off: int, width: str = "w") -> None:
-        self._record(IRInstr(_LOADS[width], dst, base, imm_int(off)))
+        self._record(IRInstr(LOADS[width], dst, base, imm_int(off)))
 
     def store(self, src, base, off: int, width: str = "w") -> None:
-        self._record(IRInstr(_STORES[width], src, base, imm_int(off)))
+        self._record(IRInstr(STORES[width], src, base, imm_int(off)))
 
     # -- control flow ----------------------------------------------------------------
 
@@ -450,7 +405,7 @@ class IcodeBackend:
             iv = location(vr)
             if iv.reg is not None:
                 return iv.reg
-            reg = _SCRATCH_F[scratch] if vr.cls == "f" else _SCRATCH_I[scratch]
+            reg = SCRATCH_F[scratch] if vr.cls == "f" else SCRATCH_I[scratch]
             op = Op.FLW if vr.cls == "f" else Op.LW
             emit_frame(op, reg, spill_offset(iv.location))
             return reg
@@ -463,7 +418,7 @@ class IcodeBackend:
                 else:
                     used_fregs.add(iv.reg)
                 return iv.reg
-            return _SCRATCH_F[0] if vr.cls == "f" else _SCRATCH_I[0]
+            return SCRATCH_F[0] if vr.cls == "f" else SCRATCH_I[0]
 
         def dst_commit(vr: VReg, reg: int) -> None:
             iv = location(vr)

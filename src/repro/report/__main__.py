@@ -18,8 +18,8 @@ Usage::
     python -m repro.report serve [--host H] [--port P] [--demo N]
 
 ``trace [APP] [-f summary|chrome|jsonl] [-o PATH] [--backend B]
-[--regalloc R] [--telemetry MODE] [--codecache] [--list]`` runs one app
-(default blur) under one tracer over static compile, spec, compile and
+[--regalloc R] [--codecache] [--list]`` runs one app (default blur)
+under one activated tracer over static compile, spec, compile and
 exec.  Chrome output loads in Perfetto (https://ui.perfetto.dev) or
 chrome://tracing; timestamps are modeled cycles (1 "us" = 1 cycle)::
 
@@ -230,8 +230,6 @@ def _trace_parser() -> argparse.ArgumentParser:
                         choices=("icode", "vcode"))
     parser.add_argument("--regalloc", default="linear",
                         choices=("linear", "color"))
-    parser.add_argument("--telemetry", default="on",
-                        help='"on" or "sample:N" (default: on)')
     parser.add_argument("--codecache", action="store_true",
                         help="leave the specialization cache enabled")
     parser.add_argument("--list", action="store_true",
@@ -254,7 +252,6 @@ def report_trace(argv=()) -> str:
     report.reset()
     tracer = harness.run_traced(app, backend=args.backend,
                                 regalloc=args.regalloc,
-                                telemetry=args.telemetry,
                                 codecache=args.codecache)
     if args.format == "chrome":
         text = json.dumps(export.chrome_trace(tracer,

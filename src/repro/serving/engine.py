@@ -37,7 +37,8 @@ from contextlib import contextmanager
 import time
 
 from repro import report
-from repro.core.driver import CompiledProgram, TccCompiler
+from repro.core.driver import (CompiledProgram, TccCompiler,
+                               check_start_options)
 from repro.errors import DeadlineExceeded, RuntimeTccError, TccError
 from repro.obs import server as _obs_server
 from repro.obs.flightrec import FlightRecorder
@@ -46,6 +47,7 @@ from repro.serving.breaker import LADDER, BreakerBoard
 from repro.serving.chaos import ChaosPlan, from_env
 from repro.serving.envelope import DeadlineClock, Envelope, RetryPolicy
 from repro.serving.store import TemplateStore
+from repro.telemetry import trace as _trace
 from repro.telemetry.metrics import REGISTRY, exemplar_context
 from repro.tiering import SharedHotness
 
@@ -106,8 +108,10 @@ class Engine:
         """``source`` is `C source text or an already-compiled
         :class:`CompiledProgram`.  ``session_defaults`` are
         ``CompiledProgram.start`` options applied to every session
-        (overridable per ``open_session``).  ``chaos`` installs an
-        engine-wide injection schedule (defaults to ``$REPRO_CHAOS``).
+        (overridable per ``open_session``); an unknown name raises
+        TypeError here, as one in ``open_session``'s overrides does.
+        ``chaos`` installs an engine-wide injection schedule (defaults
+        to ``$REPRO_CHAOS``).
         ``codecache_dir`` (default ``$REPRO_CODECACHE_DIR``) attaches the
         persistent template cache (:mod:`repro.persist`) to the shared
         store, so a *fresh engine* — e.g. a restarted serving worker, or
@@ -126,6 +130,7 @@ class Engine:
         endpoint (latest wins)."""
         import os
 
+        check_start_options(session_defaults)
         if isinstance(source, CompiledProgram):
             self.program = source
         else:
@@ -175,6 +180,7 @@ class Engine:
                      chaos: ChaosPlan | None | object = _UNSET,
                      **overrides) -> "Session":
         """Create one isolated client session (its own machine/process)."""
+        check_start_options(overrides)
         options = {**self.session_defaults, **overrides}
         if self.store is not None:
             options.setdefault("template_store", self.store)
@@ -346,11 +352,8 @@ class Session:
         if any(kind in ("poison", "poison_trace", "corrupt_disk")
                for kind in outcome.chaos):
             triggers.append("chaos_poison")
-        spans = ()
-        tracer = getattr(self.process, "tracer", None)
-        if tracer is not None and tracer.spans:
-            spans = tuple((s.name, s.cat, s.dur)
-                          for s in tracer.spans[-8:])
+        spans = tuple((s.name, s.cat, s.dur)
+                      for s in _trace.active().spans[-8:])
         recorder.record({
             "session": self.name,
             "builder": builder,

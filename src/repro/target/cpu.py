@@ -58,6 +58,7 @@ from repro.target.isa import (
     NUM_REGS,
     Op,
     Reg,
+    cvtfi,
     disassemble_one,
     fdiv,
     sdiv,
@@ -69,6 +70,7 @@ from repro.target.isa import (
 )
 from repro.target.memory import Memory
 from repro.target.program import DEFAULT_CODE_CAPACITY, CodeSegment
+from repro.telemetry import trace as _trace
 
 #: Default watchdog budget, in cycles per ``call``.  Generous — a full
 #: 640x480 image-processing benchmark fits with a wide margin — but
@@ -80,8 +82,8 @@ ENGINES = ("tiered", "block", "reference")
 
 
 # -- instruction semantics ----------------------------------------------------------
-# The trapping helpers (sdiv/smod/udiv/umod/fdiv) live in isa.py, shared
-# with the superblock code generator.
+# The trapping helpers (sdiv/smod/udiv/umod/cvtfi/fdiv) live in isa.py,
+# shared with the superblock code generator.
 
 _INT_BIN = {
     Op.ADD: operator.add, Op.SUB: operator.sub, Op.MUL: operator.mul,
@@ -218,9 +220,6 @@ class Machine:
         self.fuel = fuel
         self.icache = icache
         self.engine = engine
-        # Execution-span tracing: off by default (the hot path pays one
-        # attribute check); a Process installs its own tracer.
-        self.tracer = None
         self.output: list = []
         self._host_functions: list = []
         self._host_index: dict = {}
@@ -339,8 +338,8 @@ class Machine:
         for freg, value in zip(FARG_REGS, fargs):
             cpu.fregs[freg] = float(value)
         budget = self.fuel if fuel is None else fuel
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled and tracer.sample("exec"):
+        tracer = _trace.active()
+        if tracer.enabled:
             label = name or self.code.function_at(entry) or str(entry)
             span = tracer.begin(f"exec:{label}", cat="exec", entry=entry)
             before = cpu.cycles
@@ -545,7 +544,7 @@ class Machine:
                     pc += 1
                 elif op is Op.CVTFI:
                     if a != 0:
-                        regs[a] = wrap32(int(fregs[b]))  # truncates toward 0
+                        regs[a] = wrap32(cvtfi(fregs[b]))
                     pc += 1
                 elif op is Op.NOP:
                     pc += 1

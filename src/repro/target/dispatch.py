@@ -62,6 +62,7 @@ from repro.target.isa import (
     IMM_TO_BASE,
     SAFE_MEM_OPS,
     Op,
+    cvtfi,
     fdiv,
     sdiv,
     smod,
@@ -69,6 +70,7 @@ from repro.target.isa import (
     umod,
     wrap32,
 )
+from repro.telemetry import trace as _trace
 
 #: Ops that end a superblock: control transfers, the machine stopping,
 #: and host callbacks (which may touch arbitrary machine state).
@@ -119,8 +121,8 @@ _FLT_CMP_EXPR = {Op.FSEQ: "==", Op.FSNE: "!=", Op.FSLT: "<",
 
 #: Names the generated ``__make__`` factory closes over, in order.
 _ENV_NAMES = ("cpu", "regs", "fregs", "wrap32", "lw", "sw", "lb", "lbu",
-              "sb", "fld", "fst", "sdiv", "smod", "udiv", "umod", "fdiv",
-              "hostfn", "ill", "ic", "TAIL", "MachineError",
+              "sb", "fld", "fst", "sdiv", "smod", "udiv", "umod", "cvtfi",
+              "fdiv", "hostfn", "ill", "ic", "TAIL", "MachineError",
               "data", "ifb", "heap4", "heap1", "stackb", "top4", "top1")
 
 
@@ -158,9 +160,9 @@ def _charge_site(ins) -> bool:
     op = ins.op
     if op in _MEM_OPS or op is Op.HOSTCALL:
         return True
-    if IMM_TO_BASE.get(op, op) in _DIV_BASES:
-        # A ZERO-destination div never calls the helper (the reference
-        # skips the whole computation), so it cannot trap.
+    if op is Op.CVTFI or IMM_TO_BASE.get(op, op) in _DIV_BASES:
+        # A ZERO-destination div or conversion never calls the helper
+        # (the reference skips the whole computation), so it cannot trap.
         return not _is_zero(ins.a)
     return not isinstance(op, Op)            # unknown op -> ill() site
 
@@ -481,10 +483,12 @@ def _emit_one(g: _Gen, P: int, ins) -> None:
         g.pend += cost
         g.line(f"fregs[{g.ridx(a)}] = float(regs[{g.ridx(b)}])")
     elif op is Op.CVTFI:
-        g.pend += cost
-        if not _is_zero(a):
+        if _is_zero(a):
+            g.pend += cost               # skipped entirely: cannot trap
+        else:
+            g.site(P, cost)              # NaN and +-inf trap
             g.line(f"regs[{g.ridx(a)}] = "
-                   f"{g.wrap(f'int(fregs[{g.ridx(b)}])')}")
+                   f"{g.wrap(f'cvtfi(fregs[{g.ridx(b)}])')}")
     elif op is Op.NOP:
         g.pend += cost
     elif IMM_TO_BASE.get(op, op) in _DIV_BASES:
@@ -532,7 +536,7 @@ def build_env(machine, tail: list) -> dict:
         "sb": memory.store_byte,
         "fld": memory.load_double, "fst": memory.store_double,
         "sdiv": sdiv, "smod": smod, "udiv": udiv, "umod": umod,
-        "fdiv": fdiv,
+        "cvtfi": cvtfi, "fdiv": fdiv,
         "hostfn": machine._host_function_for,
         "ill": _illegal,
         "ic": icache.access if icache is not None else None,
@@ -582,10 +586,8 @@ def compile_block(machine, entry: int, env: dict):
 
     blk = assemble(g, env)
     report.record_block_compiled(len(instrs))
-    tracer = machine.tracer
-    if tracer is not None and tracer.enabled:
-        tracer.instant("superblock", cat="event", entry=entry,
-                       instructions=len(instrs))
+    _trace.active().instant("superblock", cat="event", entry=entry,
+                            instructions=len(instrs))
     return blk, (entry + len(instrs) if cacheable else None)
 
 

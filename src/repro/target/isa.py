@@ -206,6 +206,52 @@ MEM_WIDTH.update({safe: MEM_WIDTH[chk]
 #: Ops that transfer control unconditionally or conditionally.
 BRANCH_OPS = {Op.JMP, Op.BEQZ, Op.BNEZ, Op.CALL, Op.CALLR, Op.RET}
 
+# -- the dynamic back ends' macro tables -------------------------------------------
+# VCODE and ICODE share one macro interface (the lowering layer drives
+# either); these map its operation names onto opcodes.
+
+#: Integer binary macro -> (register form, immediate form).
+BINOPS = {
+    "add": (Op.ADD, Op.ADDI),
+    "sub": (Op.SUB, Op.SUBI),
+    "mul": (Op.MUL, Op.MULI),
+    "div": (Op.DIV, Op.DIVI),
+    "mod": (Op.MOD, Op.MODI),
+    "divu": (Op.DIVU, Op.DIVUI),
+    "modu": (Op.MODU, Op.MODUI),
+    "and": (Op.AND, Op.ANDI),
+    "or": (Op.OR, Op.ORI),
+    "xor": (Op.XOR, Op.XORI),
+    "sll": (Op.SLL, Op.SLLI),
+    "srl": (Op.SRL, Op.SRLI),
+    "sra": (Op.SRA, Op.SRAI),
+    "seq": (Op.SEQ, Op.SEQI),
+    "sne": (Op.SNE, Op.SNEI),
+    "slt": (Op.SLT, Op.SLTI),
+    "sle": (Op.SLE, Op.SLEI),
+    "sgt": (Op.SGT, Op.SGTI),
+    "sge": (Op.SGE, Op.SGEI),
+    "sltu": (Op.SLTU, None),
+}
+UNOPS = {"neg": Op.NEG, "not": Op.NOT, "mov": Op.MOV}
+FBINOPS = {"fadd": Op.FADD, "fsub": Op.FSUB, "fmul": Op.FMUL, "fdiv": Op.FDIV}
+FCMPS = {
+    "fseq": Op.FSEQ,
+    "fsne": Op.FSNE,
+    "fslt": Op.FSLT,
+    "fsle": Op.FSLE,
+    "fsgt": Op.FSGT,
+    "fsge": Op.FSGE,
+}
+FUNOPS = {"fneg": Op.FNEG, "fmov": Op.FMOV}
+#: Access width code -> load / store opcode.
+LOADS = {"w": Op.LW, "b": Op.LB, "bu": Op.LBU, "d": Op.FLW}
+STORES = {"w": Op.SW, "b": Op.SB, "bu": Op.SB, "d": Op.FSW}
+
+#: Scratch registers for spilled operands (never allocated).
+SCRATCH_I = (Reg.X0, Reg.X1)
+SCRATCH_F = (FReg.F4, FReg.F5)
+
 
 def _costs() -> dict:
     cost = {op: 1 for op in Op}
@@ -265,6 +311,17 @@ def umod(x: int, y: int) -> int:
     if y == 0:
         raise IllegalInstruction("unsigned modulo by zero")
     return unsigned32(x) % unsigned32(y)
+
+
+def cvtfi(x, error=IllegalInstruction) -> int:
+    """Double to int, truncating toward zero.  NaN and the infinities
+    have no integer value, so converting one raises ``error``: a machine
+    trap by default; the spec-time interpreter and the emission-time
+    folds pass :class:`~repro.errors.RuntimeTccError`."""
+    try:
+        return int(x)
+    except (ValueError, OverflowError):
+        raise error(f"float-to-int conversion of {x!r}") from None
 
 
 def fdiv(x: float, y: float) -> float:

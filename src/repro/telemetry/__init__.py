@@ -14,13 +14,11 @@ Three pieces (see docs/INTERNALS.md, "Telemetry"):
   JSON, and a terminal summary; ``python -m repro.report trace`` drives
   them from the command line.
 
-The knob: ``telemetry="off" | "on" | "sample:N"`` on
-:class:`~repro.core.driver.TccCompiler`,
-:meth:`~repro.core.driver.CompiledProgram.start` (which installs the
-process's tracer on its machine) and
-:func:`repro.apps.harness.measure`.  Default is **off** (hot paths pay
-one attribute check); metrics are always on (they are cheap and the
-``report`` accessors depend on them).
+One entry point: ``with trace.activate(Tracer()):`` traces whatever
+the calling thread compiles and runs inside the block (a tracer records
+only the thread that activated it).  Outside an activation nothing is
+traced and each span producer pays one ``enabled`` test; metrics are
+always on (they are cheap and the ``report`` accessors depend on them).
 """
 
 from repro.telemetry.metrics import REGISTRY, MetricsRegistry
@@ -30,7 +28,6 @@ from repro.telemetry.trace import (
     Tracer,
     activate,
     active,
-    resolve_mode,
 )
 
 __all__ = [
@@ -41,5 +38,4 @@ __all__ = [
     "NULL",
     "activate",
     "active",
-    "resolve_mode",
 ]

@@ -33,9 +33,13 @@ Span taxonomy (``cat`` -> names):
             promotions, ...)
 ==========  ==========================================================
 
-Sampling: mode ``"on"`` traces everything, ``"sample:N"`` keeps every
-Nth lifecycle per sampling key (``compile``, ``exec``); metrics are
-always recorded regardless of mode.
+One entry point: ``with activate(Tracer()):`` traces everything the
+calling thread does inside the block, and every span producer reads
+:func:`active`.  A tracer records only the thread that activated it: a
+session served on another thread is invisible to it unless that thread
+activates a tracer of its own.  Outside any activation :func:`active`
+is :data:`NULL`, whose operations are no-ops.  Metrics are recorded
+either way.
 """
 
 from __future__ import annotations
@@ -50,30 +54,6 @@ from repro.telemetry.metrics import REGISTRY as _REGISTRY
 #: no signal beyond the tracer's own ``dropped`` attribute; this counter
 #: makes the loss visible in every metrics export and scrape.
 _DROPPED_SPANS = _REGISTRY.counter("telemetry.trace.dropped_spans")
-
-#: Telemetry modes; ``sample:N`` is validated by :func:`resolve_mode`.
-MODES = ("off", "on")
-
-
-def resolve_mode(value) -> str:
-    """Normalize a ``telemetry=`` knob: ``None`` -> ``"off"``; accepts
-    ``"off"``, ``"on"``, or ``"sample:N"`` with integer N >= 1."""
-    if value is None:
-        return "off"
-    if value in MODES:
-        return value
-    if isinstance(value, str) and value.startswith("sample:"):
-        try:
-            n = int(value.split(":", 1)[1])
-        except ValueError:
-            n = 0
-        if n >= 1:
-            return value
-    raise ValueError(
-        f"unknown telemetry mode {value!r}; expected 'off', 'on', "
-        "or 'sample:N' (N >= 1)"
-    )
-
 
 class Span:
     """One traced interval on the cycle timeline.
@@ -110,37 +90,21 @@ class Span:
 
 
 class Tracer:
-    """Collects spans for one trace session (usually one process)."""
+    """Collects the spans of one trace session; see :func:`activate`."""
 
     #: Retained-span cap; beyond it spans are counted but dropped, so a
     #: long-running process cannot grow the trace without bound.
     MAX_SPANS = 100_000
 
-    def __init__(self, mode: str = "on"):
-        self.mode = resolve_mode(mode)
-        self.sample_every = 1
-        if self.mode.startswith("sample:"):
-            self.sample_every = int(self.mode.split(":", 1)[1])
+    #: Span producers test this once per operation; :data:`NULL`'s is False.
+    enabled = True
+
+    def __init__(self):
         self.cursor = 0
         self.spans: list = []
         self.dropped = 0
         self._stack: list = []
         self._next_sid = 1
-        self._sample_counters: dict = {}
-
-    @property
-    def enabled(self) -> bool:
-        return self.mode != "off"
-
-    # -- sampling -----------------------------------------------------------
-
-    def sample(self, key: str = "compile") -> bool:
-        """True when this lifecycle (the ``key``-th counter) is kept."""
-        if not self.enabled:
-            return False
-        n = self._sample_counters.get(key, 0)
-        self._sample_counters[key] = n + 1
-        return n % self.sample_every == 0
 
     # -- the cycle cursor ---------------------------------------------------
 
@@ -233,11 +197,9 @@ class Tracer:
         self.spans = []
         self.dropped = 0
         self._stack = []
-        self._sample_counters = {}
 
     def __repr__(self) -> str:
-        return (f"<Tracer mode={self.mode} spans={len(self.spans)} "
-                f"cursor={self.cursor}>")
+        return f"<Tracer spans={len(self.spans)} cursor={self.cursor}>"
 
 
 class _NullTracer:
@@ -245,13 +207,9 @@ class _NullTracer:
     :func:`active` when nothing is tracing, so call sites can skip the
     None checks."""
 
-    mode = "off"
     enabled = False
     cursor = 0
-    spans: list = []
-
-    def sample(self, key: str = "compile") -> bool:
-        return False
+    spans = ()
 
     def advance(self, cycles) -> None:
         pass
@@ -279,27 +237,28 @@ class _NullTracer:
 #: The shared no-op tracer.
 NULL = _NullTracer()
 
-#: The activation stack: lets deep call sites (the verifier runner, the
-#: dispatch engine) reach the tracer of whichever process is currently
-#: compiling without threading it through every signature.  Thread-local:
-#: each serving session activates its own tracer on its own thread, so a
-#: shared stack would interleave unrelated sessions' spans (and the
-#: pop-on-exit would corrupt another thread's stack).
-_TLS = threading.local()
+
+class _Activations(threading.local):
+    """The activation stack: lets every span producer reach the tracer
+    without threading it through every signature.  Thread-local: each
+    serving session runs on its own thread, so a shared stack would
+    interleave unrelated sessions' spans (and the pop-on-exit would
+    corrupt another thread's stack).  Each thread's first touch runs
+    ``__init__``, so :func:`active` never takes the missing-attribute
+    path."""
+
+    def __init__(self):
+        self.stack = []
 
 
-def _stack() -> list:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = _TLS.stack = []
-    return stack
+_TLS = _Activations()
 
 
 @contextmanager
 def activate(tracer):
-    """Make ``tracer`` the ambient tracer for the dynamic extent (on the
-    calling thread)."""
-    stack = _stack()
+    """Make ``tracer`` the calling thread's ambient tracer for the
+    dynamic extent; ``None`` masks an outer tracer with :data:`NULL`."""
+    stack = _TLS.stack
     stack.append(tracer if tracer is not None else NULL)
     try:
         yield tracer
@@ -310,5 +269,5 @@ def activate(tracer):
 def active():
     """The calling thread's ambient tracer (:data:`NULL` when nothing is
     tracing)."""
-    stack = getattr(_TLS, "stack", None)
+    stack = _TLS.stack
     return stack[-1] if stack else NULL

@@ -48,6 +48,7 @@ from repro.target.dispatch import (
     compile_block,
 )
 from repro.target.isa import CYCLE_COST, disassemble_one
+from repro.telemetry import trace as _trace
 from repro.tiering.policy import TieringPolicy
 from repro.tiering.trace import emit_trace, form_trace, trace_has_site
 
@@ -190,9 +191,8 @@ class TieredEngine:
         self._counts[entry] = 0
         self._seed[0].pop(entry, None)
         report.record_deopt()
-        tracer = self.machine.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.instant("deopt", cat="event", entry=entry, reason=reason)
+        _trace.active().instant("deopt", cat="event", entry=entry,
+                                reason=reason)
 
     # -- promotion ---------------------------------------------------------------
 
@@ -205,10 +205,8 @@ class TieredEngine:
         horizon = segment._linked
         if not (0 <= entry < horizon):
             return                       # only linked code is traceable
-        tracer = self.machine.tracer
-        span = None
-        if tracer is not None and tracer.enabled:
-            span = tracer.begin("promote", cat="event", entry=entry)
+        tracer = _trace.active()
+        span = tracer.begin("promote", cat="event", entry=entry)
         try:
             form = form_trace(segment.instructions, entry, self._succ,
                               horizon, self.policy)
@@ -228,10 +226,9 @@ class TieredEngine:
             report.record_promotion(len(form.block_entries),
                                     form.instructions)
         finally:
-            if span is not None:
-                blocks = len(self._trace_info[entry][1]) \
-                    if entry in self._trace_info else 0
-                tracer.end(span, promoted=blocks >= 2, blocks=blocks)
+            info = self._trace_info.get(entry)
+            blocks = len(info[1]) if info is not None else 0
+            tracer.end(span, promoted=blocks >= 2, blocks=blocks)
 
     # -- dispatch ----------------------------------------------------------------
 

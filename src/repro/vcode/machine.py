@@ -26,14 +26,9 @@ from repro.runtime.costmodel import (
     EMIT_PUTREG,
 )
 from repro.target.isa import (
-    ALLOCATABLE_FREGS,
-    ALLOCATABLE_REGS,
-    ARG_REGS,
-    FARG_REGS,
-    FReg,
-    Instruction,
-    Op,
-    Reg,
+    ALLOCATABLE_FREGS, ALLOCATABLE_REGS, ARG_REGS, BINOPS, FARG_REGS,
+    FBINOPS, FCMPS, FReg, FUNOPS, Instruction, LOADS, Op, Reg, SCRATCH_F,
+    SCRATCH_I, STORES, UNOPS,
 )
 from repro.target.program import Label
 from repro.telemetry.metrics import REGISTRY
@@ -41,47 +36,6 @@ from repro.telemetry.metrics import REGISTRY
 #: getreg exhaustions that fell back to a spill slot (telemetry; the
 #: per-access ``lvalue_check`` charges remain the modeled cost).
 _SPILLS = REGISTRY.counter("backend.vcode.spills")
-
-# opname -> (register form, immediate form)
-_BINOPS = {
-    "add": (Op.ADD, Op.ADDI),
-    "sub": (Op.SUB, Op.SUBI),
-    "mul": (Op.MUL, Op.MULI),
-    "div": (Op.DIV, Op.DIVI),
-    "mod": (Op.MOD, Op.MODI),
-    "divu": (Op.DIVU, Op.DIVUI),
-    "modu": (Op.MODU, Op.MODUI),
-    "and": (Op.AND, Op.ANDI),
-    "or": (Op.OR, Op.ORI),
-    "xor": (Op.XOR, Op.XORI),
-    "sll": (Op.SLL, Op.SLLI),
-    "srl": (Op.SRL, Op.SRLI),
-    "sra": (Op.SRA, Op.SRAI),
-    "seq": (Op.SEQ, Op.SEQI),
-    "sne": (Op.SNE, Op.SNEI),
-    "slt": (Op.SLT, Op.SLTI),
-    "sle": (Op.SLE, Op.SLEI),
-    "sgt": (Op.SGT, Op.SGTI),
-    "sge": (Op.SGE, Op.SGEI),
-    "sltu": (Op.SLTU, None),
-}
-
-_UNOPS = {"neg": Op.NEG, "not": Op.NOT, "mov": Op.MOV}
-_FBINOPS = {"fadd": Op.FADD, "fsub": Op.FSUB, "fmul": Op.FMUL, "fdiv": Op.FDIV}
-_FCMPS = {
-    "fseq": Op.FSEQ,
-    "fsne": Op.FSNE,
-    "fslt": Op.FSLT,
-    "fsle": Op.FSLE,
-    "fsgt": Op.FSGT,
-    "fsge": Op.FSGE,
-}
-_FUNOPS = {"fneg": Op.FNEG, "fmov": Op.FMOV}
-_LOADS = {"w": Op.LW, "b": Op.LB, "bu": Op.LBU, "d": Op.FLW}
-_STORES = {"w": Op.SW, "b": Op.SB, "bu": Op.SB, "d": Op.FSW}
-
-_SCRATCH_I = (Reg.X0, Reg.X1)
-_SCRATCH_F = (FReg.F4, FReg.F5)
 
 
 class VcodeBackend:
@@ -181,10 +135,10 @@ class VcodeBackend:
         if isinstance(handle, Spill):
             self.cost.charge(EMIT_LVALUE_CHECK)
             if handle.cls == "i":
-                reg = _SCRATCH_I[scratch]
+                reg = SCRATCH_I[scratch]
                 self._emit(Op.LW, reg, Reg.SP, spill_offset(handle.idx))
             else:
-                reg = _SCRATCH_F[scratch]
+                reg = SCRATCH_F[scratch]
                 self._emit(Op.FLW, reg, Reg.SP, spill_offset(handle.idx))
             return reg
         raise CodegenError(f"bad operand handle {handle!r}")
@@ -195,7 +149,7 @@ class VcodeBackend:
             return handle.num
         if isinstance(handle, Spill):
             self.cost.charge(EMIT_LVALUE_CHECK)
-            return _SCRATCH_I[0] if handle.cls == "i" else _SCRATCH_F[0]
+            return SCRATCH_I[0] if handle.cls == "i" else SCRATCH_F[0]
         raise CodegenError(f"bad destination handle {handle!r}")
 
     def _def_commit(self, handle, reg: int) -> None:
@@ -220,7 +174,7 @@ class VcodeBackend:
         self._def_commit(dst, reg)
 
     def binop(self, opname: str, dst, a, b) -> None:
-        op = _BINOPS[opname][0]
+        op = BINOPS[opname][0]
         ra = self._use(a, 0)
         rb = self._use(b, 1)
         rd = self._def_target(dst)
@@ -228,7 +182,7 @@ class VcodeBackend:
         self._def_commit(dst, rd)
 
     def binop_imm(self, opname: str, dst, a, imm: int) -> None:
-        op = _BINOPS[opname][1]
+        op = BINOPS[opname][1]
         if op is None:  # no immediate form: materialize
             tmp = self.alloc_reg("i")
             self.li(tmp, imm)
@@ -241,14 +195,14 @@ class VcodeBackend:
         self._def_commit(dst, rd)
 
     def unop(self, opname: str, dst, a) -> None:
-        op = _UNOPS[opname]
+        op = UNOPS[opname]
         ra = self._use(a, 0)
         rd = self._def_target(dst)
         self._emit(op, rd, ra)
         self._def_commit(dst, rd)
 
     def fbinop(self, opname: str, dst, a, b) -> None:
-        op = _FBINOPS[opname]
+        op = FBINOPS[opname]
         ra = self._use(a, 0)
         rb = self._use(b, 1)
         rd = self._def_target(dst)
@@ -256,7 +210,7 @@ class VcodeBackend:
         self._def_commit(dst, rd)
 
     def fcmp(self, opname: str, dst, a, b) -> None:
-        op = _FCMPS[opname]
+        op = FCMPS[opname]
         ra = self._use(a, 0)
         rb = self._use(b, 1)
         rd = self._def_target(dst)
@@ -264,7 +218,7 @@ class VcodeBackend:
         self._def_commit(dst, rd)
 
     def funop(self, opname: str, dst, a) -> None:
-        op = _FUNOPS[opname]
+        op = FUNOPS[opname]
         ra = self._use(a, 0)
         rd = self._def_target(dst)
         self._emit(op, rd, ra)
@@ -283,14 +237,14 @@ class VcodeBackend:
         self._def_commit(idst, rd)
 
     def load(self, dst, base, off: int, width: str = "w") -> None:
-        op = _LOADS[width]
+        op = LOADS[width]
         rb = Reg.ZERO if base is None else self._use(base, 1)
         rd = self._def_target(dst)
         self._emit(op, rd, rb, imm_int(off))
         self._def_commit(dst, rd)
 
     def store(self, src, base, off: int, width: str = "w") -> None:
-        op = _STORES[width]
+        op = STORES[width]
         rs = self._use(src, 0)
         rb = Reg.ZERO if base is None else self._use(base, 1)
         self._emit(op, rs, rb, imm_int(off))

@@ -3,7 +3,9 @@
 import pytest
 
 from repro import BackendKind, CodegenError, TccCompiler, TccError
+from repro.core.driver import MACHINE_OPTIONS, START_OPTIONS
 from repro.icode.backend import IcodeBackend
+from repro.target.cpu import Machine
 from repro.vcode.machine import VcodeBackend
 from tests.conftest import compile_c
 
@@ -74,6 +76,35 @@ class TestProcessOptions:
         proc = compile_c("int f(void) { return 0; }")
         with pytest.raises(TccError, match="no function"):
             proc.run("missing")
+
+
+class TestStartOptionNames:
+    """A misspelt or retired ``start()`` option fails loudly instead of
+    silently running with the default."""
+
+    SRC = "int f(void) { return 7; }"
+
+    @pytest.mark.parametrize("options, named", [
+        ({"backnd": "vcode", "codecach": False}, "backnd, codecach"),
+        ({"telemetry": "on"}, "telemetry"),
+        ({"tracer": None}, "tracer"),
+    ])
+    def test_unknown_names_raise(self, options, named):
+        with pytest.raises(TypeError, match=named):
+            compile_c(self.SRC, **options)
+
+    def test_every_documented_name_is_accepted(self):
+        doc = TccCompiler().compile(self.SRC).start.__doc__
+        documented = {name for name in START_OPTIONS
+                      if f"``{name}``" in doc}
+        assert documented == START_OPTIONS
+
+    @pytest.mark.parametrize("name", MACHINE_OPTIONS)
+    def test_machine_option_with_explicit_machine_raises(self, name):
+        program = TccCompiler().compile(self.SRC)
+        with pytest.raises(TypeError, match=name):
+            program.start(machine=Machine(), **{name: None})
+        assert program.start(machine=Machine()).run("f") == 7
 
 
 class TestProcessServices:

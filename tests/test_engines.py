@@ -42,7 +42,7 @@ HOT2 = {"hot_threshold": 2}
 
 
 def _run_both(instrs, args=(), fuel=100_000, hosts=(), icache=False,
-              tiering=HOT2):
+              tiering=HOT2, fargs=()):
     """Assemble the same program into one machine per engine and run it.
 
     Returns ``{engine: outcome}`` where a successful outcome is
@@ -59,7 +59,7 @@ def _run_both(instrs, args=(), fuel=100_000, hosts=(), icache=False,
         entry = machine.code.extend(list(instrs))
         machine.code.link()
         try:
-            rv = machine.call(entry, args)
+            rv = machine.call(entry, args, fargs)
             out[engine] = ("ok", rv, machine.cpu.cycles)
         except MachineError as trap:
             out[engine] = ("trap", type(trap).__name__, trap,
@@ -216,6 +216,57 @@ def test_division_by_zero_into_zero_register_is_discarded():
     assert outcomes["block"] == outcomes["reference"]
     assert outcomes["tiered"] == outcomes["reference"]
     assert outcomes["block"][:2] == ("ok", 7)
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "x", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+
+
+@NON_FINITE
+def test_float_to_int_of_non_finite_traps_identically(x):
+    """NaN and the infinities have no integer value: CVTFI traps with an
+    IllegalInstruction at its own pc, on every engine."""
+    outcomes = _run_both([
+        Instruction(Op.LI, Reg.T0, 1),
+        Instruction(Op.CVTFI, Reg.RV, FReg.F1),
+        Instruction(Op.RET),
+    ], fargs=(x,))
+    _assert_same_trap(outcomes, IllegalInstruction)
+    assert "float-to-int" in str(outcomes["reference"][2])
+
+
+@NON_FINITE
+def test_float_to_int_trap_inside_a_trace(x):
+    """The product overflows to +-inf on the loop's fourth trip (``inf -
+    inf`` gives the NaN), after the loop was promoted to a trace: the
+    trace's charge site lands on the reference's pc and cycles."""
+    source = FReg.F5 if math.isnan(x) else FReg.F4
+    outcomes = _run_both([
+        Instruction(Op.FLI, FReg.F4, math.copysign(1.0, x)),
+        Instruction(Op.LI, Reg.T0, 6),
+        Instruction(Op.FMUL, FReg.F4, FReg.F4, FReg.F1),   # pc 3
+        Instruction(Op.JMP, 5),
+        Instruction(Op.FSUB, FReg.F5, FReg.F4, FReg.F4),
+        Instruction(Op.CVTFI, Reg.RV, source),
+        Instruction(Op.SUBI, Reg.T0, Reg.T0, 1),
+        Instruction(Op.BNEZ, Reg.T0, 3),
+        Instruction(Op.RET),
+    ], fargs=(1e100,))
+    _assert_same_trap(outcomes, IllegalInstruction)
+    assert outcomes["reference"][2].pc == 6
+
+
+def test_float_to_int_into_zero_register_is_discarded():
+    """As with division, a ZERO-destination CVTFI never converts, so a
+    NaN source traps on no engine."""
+    outcomes = _run_both([
+        Instruction(Op.CVTFI, Reg.ZERO, FReg.F1),
+        Instruction(Op.LI, Reg.RV, 7),
+        Instruction(Op.RET),
+    ], fargs=(math.nan,))
+    assert outcomes["block"] == outcomes["reference"]
+    assert outcomes["tiered"] == outcomes["reference"]
+    assert outcomes["reference"][:2] == ("ok", 7)
 
 
 def test_null_load_traps_identically():

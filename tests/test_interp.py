@@ -269,3 +269,36 @@ class TestSpecRuntime:
         src = "int main(void) { int cspec c = `1; return (int)c + 0; }"
         with pytest.raises(TypeError_, match="cast"):
             run(src)
+
+
+class TestNonFiniteToInt:
+    """Every spec-time conversion of a NaN or infinite double to an
+    integer is a RuntimeTccError, never a bare ValueError or
+    OverflowError."""
+
+    SRC = """
+    int f(int x) { return x; }
+    int cast(double d) { return (int)d; }
+    int assign(double d) { int x; x = d; return x; }
+    int static_arg(double d) { return f(d); }
+    int print_it(double d) { print_int(d); return 0; }
+    int put(double d) { putchar(d); return 0; }
+    int alloc(double d) { char *m; m = malloc(d); return 0; }
+    int fmt(double d) { printf("%d", d); return 0; }
+    int emit_assign(double d) {
+        return (int)compile(`{ int x; x = $d; return x; }, int);
+    }
+    """
+
+    @pytest.mark.parametrize("fn", ["cast", "assign", "static_arg",
+                                    "print_it", "put", "alloc", "fmt",
+                                    "emit_assign"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_raises_a_tcc_error(self, fn, value):
+        with pytest.raises(RuntimeTccError, match="float-to-int"):
+            run(self.SRC, fn, value)
+
+    def test_finite_values_still_truncate(self):
+        assert run(self.SRC, "cast", -2.75) == -2
+        assert run(self.SRC, "static_arg", 7.9) == 7

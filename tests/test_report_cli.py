@@ -34,10 +34,6 @@ def _fake_result(app_name="hash", backend="icode", static_opt="lcc"):
                          "translate": 80.0}
     r.dynamic_result = r.static_result = r.expected = 7
     r.correct = True
-    tracer = Tracer("on")
-    with tracer.span("run:fake", cat="spec"):
-        tracer.advance(100)
-    r.tracer = tracer
     r.hot_profile = [
         {"pc": 7, "kind": "trace", "dispatches": 90, "blocks": 4,
          "instructions": 17, "cycles": 5_400},
@@ -45,6 +41,13 @@ def _fake_result(app_name="hash", backend="icode", static_opt="lcc"):
          "instructions": 5, "cycles": 96},
     ]
     return r
+
+
+def _fake_tracer():
+    tracer = Tracer()
+    with tracer.span("run:fake", cat="spec"):
+        tracer.advance(100)
+    return tracer
 
 
 class _FakeUsedOps:
@@ -62,7 +65,7 @@ def cheap_reports(monkeypatch):
                                        kw.get("static_opt", "lcc")))
     monkeypatch.setattr(
         "repro.apps.harness.run_traced",
-        lambda app, **kw: _fake_result(app.name).tracer)
+        lambda app, **kw: _fake_tracer())
     monkeypatch.setattr(
         cli, "_series_results",
         lambda names: {

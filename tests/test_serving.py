@@ -15,7 +15,12 @@ from repro import (
     report,
 )
 from repro.icode.backend import IcodeBackend
-from repro.errors import CodegenError, CycleBudgetExceeded, SegmentationFault
+from repro.errors import (
+    CodegenError,
+    CycleBudgetExceeded,
+    IllegalInstruction,
+    SegmentationFault,
+)
 from repro.obs.openmetrics import parse, render
 from repro.serving import ChaosPlan, LADDER, RetryPolicy
 from repro.serving.breaker import BreakerBoard, CircuitBreaker
@@ -203,6 +208,60 @@ class TestOneRequestPath:
             with pytest.raises(SegmentationFault):
                 s.call(entry)
         assert report.serving_stats()["failed"] == 1
+
+
+class TestOptionNames:
+    """``Engine`` and ``open_session`` reject unknown ``start()`` option
+    names up front, through the same set ``start()`` checks."""
+
+    @pytest.mark.parametrize("options", [{"deadlin": 1}, {"telemetry": "on"}])
+    def test_engine_rejects_unknown_session_defaults(self, options):
+        with pytest.raises(TypeError, match=next(iter(options))):
+            Engine(ADDER, chaos=None, **options)
+
+    @pytest.mark.parametrize("options", [{"deadlin": 1}, {"telemetry": "on"}])
+    def test_open_session_rejects_unknown_overrides(self, options):
+        eng = Engine(ADDER, chaos=None)
+        with pytest.raises(TypeError, match=next(iter(options))):
+            eng.open_session(**options)
+        assert eng.stats()["sessions_open"] == 0
+        with eng.session(deadline=1) as s:       # the real knob still works
+            assert s.name == "session-1"         # rejected before numbering
+            out = s.request("make_adder", (1,), call_args=(2,))
+            assert isinstance(out.error, DeadlineExceeded)
+
+
+class TestNonFiniteConversions:
+    """Converting a NaN or infinite double to int fails the request at
+    every layer (spec time, emission, execution) instead of leaking a
+    Python exception out of ``request()``."""
+
+    SRC = """
+    int spec_cast(double d) { return (int)d; }
+    int dollar_cast(double d) { return (int)compile(`((int)$d), int); }
+    int vspec_cast(void) {
+        double vspec x = param(double, 0);
+        return (int)compile(`((int)x), int);
+    }
+    """
+
+    def test_each_layer_fails_as_a_counted_request(self):
+        nan, inf = float("nan"), float("inf")
+        report.reset()
+        with Engine(self.SRC, chaos=None).session() as s:
+            spec = s.request("spec_cast", (inf,))
+            emit = s.request("dollar_cast", (nan,))
+            entry = s.run("vspec_cast")
+            trap = s.request(None, call_args=(), fcall_args=(nan,),
+                             entry=entry)
+        assert isinstance(spec.error, RuntimeTccError)
+        assert isinstance(emit.error, RuntimeTccError)
+        assert not isinstance(emit.error, CodegenError)  # no VCODE retry
+        assert isinstance(trap.error, IllegalInstruction)
+        for out in (spec, emit, trap):
+            assert "float-to-int" in str(out.error)
+        stats = report.serving_stats()
+        assert (stats["requests"], stats["failed"]) == (4, 3)
 
 
 class TestDeadlines:

@@ -12,10 +12,11 @@ The load-bearing invariants (ISSUE acceptance criteria):
 """
 
 import json
+import threading
 
 import pytest
 
-from repro import report
+from repro import Engine, report
 from repro.apps import ALL_APPS
 from repro.apps.harness import measure
 from repro.telemetry import export, metrics, trace
@@ -26,7 +27,7 @@ from repro.telemetry.metrics import (
     LabeledCounter,
     MetricsRegistry,
 )
-from repro.telemetry.trace import NULL, Tracer, resolve_mode
+from repro.telemetry.trace import NULL, Tracer, activate
 from tests.conftest import compile_c
 
 
@@ -178,16 +179,8 @@ class TestReportAccessors:
 
 
 class TestTracer:
-    def test_resolve_mode(self):
-        assert resolve_mode(None) == "off"
-        assert resolve_mode("on") == "on"
-        assert resolve_mode("sample:3") == "sample:3"
-        for bad in ("sometimes", "sample:0", "sample:x"):
-            with pytest.raises(ValueError):
-                resolve_mode(bad)
-
     def test_spans_nest_and_advance(self):
-        t = Tracer("on")
+        t = Tracer()
         outer = t.begin("outer", cat="spec")
         t.advance(10)
         with t.span("inner", cat="compile"):
@@ -201,13 +194,13 @@ class TestTracer:
         assert "wall_us" in outer.args
 
     def test_end_advances_by_modeled_cost(self):
-        t = Tracer("on")
+        t = Tracer()
         s = t.begin("exec:f", cat="exec")
         t.end(s, advance=140, trap=None)
         assert s.dur == 140 and s.args["trap"] is None
 
     def test_instant_and_add_complete(self):
-        t = Tracer("on")
+        t = Tracer()
         parent = t.begin("run", cat="spec")
         mark = t.instant("fallback", reason="x")
         assert mark.parent == parent.sid and mark.dur == 0
@@ -219,15 +212,8 @@ class TestTracer:
         assert child.ts == parent.ts  # clamped into the parent
         assert child.end == 60
 
-    def test_sampling_keeps_every_nth(self):
-        t = Tracer("sample:2")
-        assert [t.sample("compile") for _ in range(5)] == \
-            [True, False, True, False, True]
-        # independent counters per key
-        assert t.sample("exec") is True
-
     def test_span_cap_drops_but_counts(self):
-        t = Tracer("on")
+        t = Tracer()
         t.MAX_SPANS = 2
         for i in range(4):
             t.instant(f"e{i}")
@@ -240,30 +226,29 @@ class TestTracer:
         # visible in scrapes, not only on the tracer instance.
         counter = metrics.REGISTRY.counter("telemetry.trace.dropped_spans")
         base = counter.value
-        t = Tracer("on")
+        t = Tracer()
         t.MAX_SPANS = 1
         for i in range(4):
             t.instant(f"e{i}")
         assert counter.value - base == 3
 
     def test_dropped_spans_surface_in_export_summary(self):
-        t = Tracer("on")
+        t = Tracer()
         t.MAX_SPANS = 2
         for i in range(5):
             t.instant(f"e{i}")
         text = export.summary(t)
         assert "3 spans dropped" in text
-        t2 = Tracer("on")
+        t2 = Tracer()
         t2.instant("kept")
         assert "spans dropped" not in export.summary(t2)
 
     def test_null_tracer_is_inert(self):
         assert not NULL.enabled
-        assert NULL.sample() is False
         with NULL.span("x") as s:
             assert s is None
         assert trace.active() is NULL
-        real = Tracer("on")
+        real = Tracer()
         with trace.activate(real):
             assert trace.active() is real
         assert trace.active() is NULL
@@ -276,20 +261,30 @@ def _span_index(tracer):
     return {s.sid: s for s in tracer.spans}
 
 
+def _traced_measure(name, **options):
+    """``measure`` under a fresh tracer: (result, tracer)."""
+    with activate(Tracer()) as tracer:
+        return measure(ALL_APPS[name], **options), tracer
+
+
 class TestLifecycleTrace:
     @pytest.fixture(scope="class")
     def blur(self):
         report.reset()
-        return measure(ALL_APPS["blur"], backend="icode", telemetry="on")
+        return _traced_measure("blur", backend="icode")
 
     def test_measure_attaches_tracer_only_when_asked(self, blur):
-        assert isinstance(blur.tracer, Tracer)
-        off = measure(ALL_APPS["pow"], backend="icode")
-        assert off.tracer is None
+        result, tracer = blur
+        assert not hasattr(result, "tracer")
+        assert any(s.name == "exec:blur" for s in tracer.spans)
+        # Outside an activation nothing is recorded anywhere.
+        measure(ALL_APPS["pow"], backend="icode")
+        assert trace.active() is NULL and NULL.spans == ()
 
     def test_spans_nest_correctly(self, blur):
-        by_sid = _span_index(blur.tracer)
-        for span in blur.tracer.spans:
+        _, tracer = blur
+        by_sid = _span_index(tracer)
+        for span in tracer.spans:
             if span.parent is None:
                 continue
             parent = by_sid[span.parent]
@@ -297,7 +292,8 @@ class TestLifecycleTrace:
                 f"{span.name} escapes {parent.name}"
 
     def test_phase_children_tile_compile_span_exactly(self, blur):
-        spans = blur.tracer.spans
+        result, tracer = blur
+        spans = tracer.spans
         compiles = [s for s in spans if s.cat == "compile"]
         assert len(compiles) == 1, "blur performs exactly one compile()"
         (c,) = compiles
@@ -308,29 +304,36 @@ class TestLifecycleTrace:
         for a, b in zip(kids, kids[1:]):
             assert a.end == b.ts, "phase children must tile with no gaps"
         # ... and the tiling is the cost model's phase totals exactly.
-        assert sum(k.dur for k in kids) == c.dur == blur.codegen_cycles
+        assert sum(k.dur for k in kids) == c.dur == result.codegen_cycles
         assert c.args["path"] == "cold"
         assert c.args["backend"] == "icode"
         entry, end = c.args["code_range"]
         assert c.args["entry"] == entry < end
 
     def test_exec_span_matches_measured_cycles(self, blur):
-        execs = [s for s in blur.tracer.spans if s.cat == "exec"]
+        result, tracer = blur
+        # The static side's call is on the timeline too, as exec:blur_static.
+        execs = [s for s in tracer.spans if s.name == "exec:blur"]
         assert execs, "the timed dynamic run must appear on the trace"
-        assert execs[-1].dur == blur.dynamic_cycles
+        assert execs[-1].dur == result.dynamic_cycles
+        (static,) = [s for s in tracer.spans if s.name == "exec:blur_static"]
+        assert static.dur == result.static_cycles
 
     def test_spec_run_span_encloses_the_compile(self, blur):
-        spans = blur.tracer.spans
+        _, tracer = blur
+        spans = tracer.spans
         run = next(s for s in spans if s.cat == "spec")
         compile_span = next(s for s in spans if s.cat == "compile")
         assert compile_span.parent == run.sid
 
     def test_verify_layers_appear_as_instants(self, blur):
-        names = {s.name for s in blur.tracer.spans if s.cat == "verify"}
+        _, tracer = blur
+        names = {s.name for s in tracer.spans if s.cat == "verify"}
         assert "verify:codeaudit" in names
 
     def test_chrome_export_schema(self, blur):
-        doc = export.chrome_trace(blur.tracer, title="blur")
+        _, tracer = blur
+        doc = export.chrome_trace(tracer, title="blur")
         # must round-trip as strict JSON (Perfetto requirement)
         doc = json.loads(json.dumps(doc))
         events = doc["traceEvents"]
@@ -342,22 +345,23 @@ class TestLifecycleTrace:
             if e["ph"] == "X":
                 assert e["dur"] >= 0 and e["ts"] >= 0
         assert len([e for e in events if e["ph"] != "M"]) == \
-            len(blur.tracer.spans)
+            len(tracer.spans)
 
     def test_jsonl_and_summary_render(self, blur):
-        lines = export.to_jsonl(blur.tracer).strip().splitlines()
-        assert len(lines) == len(blur.tracer.spans) + 1
+        _, tracer = blur
+        lines = export.to_jsonl(tracer).strip().splitlines()
+        assert len(lines) == len(tracer.spans) + 1
         assert "metrics" in json.loads(lines[-1])
-        text = export.summary(blur.tracer)
+        text = export.summary(tracer)
         assert "compile" in text and "timeline" in text
 
     def test_tiered_promotions_are_events_not_compiles(self):
         """The trace tier's promotions are ``event`` spans, so blur on
         the tiered engine still shows one compile span, tiled by its
         phase children."""
-        result = measure(ALL_APPS["blur"], backend="icode",
-                         engine="tiered", telemetry="on")
-        spans = result.tracer.spans
+        result, tracer = _traced_measure("blur", backend="icode",
+                                         engine="tiered")
+        spans = tracer.spans
         assert any(s.name == "promote" and s.cat == "event" for s in spans)
         (c,) = [s for s in spans if s.cat == "compile"]
         kids = [s for s in spans if s.cat == "phase" and s.parent == c.sid]
@@ -372,26 +376,19 @@ class TestKnobPlumbing:
     }
     """
 
-    def test_sample_mode_traces_every_nth_compile(self):
-        proc = compile_c(self.SRC, telemetry="sample:2", codecache=False)
-        for _ in range(4):
-            proc.run("build")
-        compiles = [s for s in proc.tracer.spans if s.cat == "compile"]
-        assert len(compiles) == 2
-        # metrics stay exact regardless of sampling
-        snap = metrics.REGISTRY.snapshot()
-        assert snap["compile.codegen_cycles"]["count"] == 4
-
     def test_telemetry_off_by_default(self):
         proc = compile_c(self.SRC)
         proc.run("build")
-        assert proc.tracer is None and proc.machine.tracer is None
+        assert not hasattr(proc, "tracer")
+        assert not hasattr(proc.machine, "tracer")
+        assert trace.active() is NULL and NULL.spans == ()
 
     def test_cache_paths_reach_compile_span_args(self):
-        proc = compile_c(self.SRC, telemetry="on", codecache=True)
-        proc.run("build")
-        proc.run("build")
-        paths = [s.args["path"] for s in proc.tracer.spans
+        proc = compile_c(self.SRC, codecache=True)
+        with activate(Tracer()) as tracer:
+            proc.run("build")
+            proc.run("build")
+        paths = [s.args["path"] for s in tracer.spans
                  if s.cat == "compile"]
         assert paths == ["cold", "hit"]
         snap = metrics.REGISTRY.snapshot()
@@ -400,13 +397,102 @@ class TestKnobPlumbing:
     def test_shared_tracer_spans_static_and_dynamic(self):
         from repro import TccCompiler
 
-        tcc = TccCompiler(telemetry="on")
-        proc = tcc.compile(self.SRC).start(codecache=False)
-        proc.run("build")
-        cats = {s.cat for s in proc.tracer.spans}
+        with activate(Tracer()) as tracer:
+            proc = TccCompiler().compile(self.SRC).start(codecache=False)
+            proc.run("build")
+        cats = {s.cat for s in tracer.spans}
         assert {"static", "spec", "compile", "phase"} <= cats
-        assert proc.tracer is tcc.tracer
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
+        """The tracer has no modes or knobs: ``activate`` is its only
+        entry point, so a ``telemetry=`` option is an unknown name."""
+        with pytest.raises(TypeError, match="telemetry"):
             compile_c(self.SRC, telemetry="loud")
+
+
+class TestOneEntryPoint:
+    """``activate`` is the tracer's only entry point, and a tracer
+    records only the thread that activated it."""
+
+    SRC = """
+    int make_adder(int n) {
+        int vspec p = param(int, 0);
+        return (int)compile(`($n + p), int);
+    }
+    int make_scaler(int n) {
+        int vspec p = param(int, 0);
+        return (int)compile(`($n * p), int);
+    }
+    """
+
+    @staticmethod
+    def _assert_compiles_tiled(tracer):
+        compiles = [s for s in tracer.spans if s.cat == "compile"]
+        assert compiles
+        for c in compiles:
+            kids = sorted((s for s in tracer.spans
+                           if s.cat == "phase" and s.parent == c.sid),
+                          key=lambda s: s.ts)
+            at = c.ts
+            for kid in kids:
+                assert kid.ts == at
+                at = kid.end
+            assert at == c.end
+
+    def test_tracer_ignores_a_session_served_on_another_thread(self):
+        eng = Engine(self.SRC, chaos=None)
+        outs = []
+
+        def serve():
+            with eng.session() as s:
+                outs.append(s.request("make_adder", (3,), call_args=(4,)))
+
+        with activate(Tracer()) as tracer:
+            worker = threading.Thread(target=serve)
+            worker.start()
+            worker.join()
+        assert outs[0].value == 7
+        assert tracer.spans == [] and tracer.cursor == 0
+        assert eng.recorder.records()[-1]["spans"] == ()
+
+    def test_threads_tracing_their_own_sessions_stay_disjoint(self):
+        eng = Engine(self.SRC, chaos=None)
+        barrier = threading.Barrier(2)
+        tracers = {}
+
+        def serve(builder):
+            with activate(Tracer()) as tracer:
+                with eng.session() as s:
+                    barrier.wait()
+                    for n in range(6):
+                        assert s.request(builder, (n,), call_args=(2,)).ok
+            tracers[builder] = tracer
+
+        workers = [threading.Thread(target=serve, args=(b,))
+                   for b in ("make_adder", "make_scaler")]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        for builder, other in (("make_adder", "make_scaler"),
+                               ("make_scaler", "make_adder")):
+            tracer = tracers[builder]
+            runs = [s.name for s in tracer.spans if s.cat == "spec"]
+            assert runs == [f"run:{builder}"] * 6
+            assert not any(other in s.name for s in tracer.spans)
+            assert len([s for s in tracer.spans if s.cat == "exec"]) == 6
+            self._assert_compiles_tiled(tracer)
+
+    def test_recorder_row_keeps_the_last_spans_only_when_traced(self):
+        eng = Engine(self.SRC, chaos=None)
+        with eng.session() as s:
+            s.request("make_adder", (1,), call_args=(2,))
+            with activate(Tracer()) as tracer:
+                s.request("make_adder", (2,), call_args=(2,))
+            s.request("make_adder", (3,), call_args=(2,))
+        before, traced, after = eng.recorder.records()
+        assert before["spans"] == () and after["spans"] == ()
+        assert len(tracer.spans) > 8
+        assert traced["spans"] == tuple((sp.name, sp.cat, sp.dur)
+                                        for sp in tracer.spans[-8:])
+        assert NULL.spans == ()
